@@ -22,9 +22,9 @@ guessed scalar).  Four arms:
    detection time and the zone is re-admitted server-by-server with a
    stagger that spreads the thundering herd.
 
-Every arm runs on *both* fleet engines and the reports must agree
-bit-for-bit — chaos campaigns are part of the engine-equivalence
-contract, not an oracle-only feature.  Every report must also pass
+Every arm runs on the fleet engine and on its reference
+(:mod:`repro.serving.oracle`), and the reports must agree bit-for-bit
+— chaos campaigns are part of the engine-equivalence contract.  Every report must also pass
 the chaos invariant checker (terminal-state uniqueness, conservation,
 clock monotonicity, bounded quality debt): correlated failures may
 degrade service arbitrarily but must never corrupt the accounting.
@@ -40,7 +40,6 @@ from repro.experiments.serve2_resilience import (
 from repro.experiments.suite_cache import all_profiles, model_instance
 from repro.profiler.distributed import profile_sharded
 from repro.serving.chaos import check_invariants
-from repro.serving.columnar import simulate_fleet_columnar
 from repro.serving.domains import (
     DegradedLink,
     OrchestrationConfig,
@@ -54,6 +53,7 @@ from repro.serving.fleet import (
     affine_batch_latency,
     simulate_fleet,
 )
+from repro.serving.oracle import same_report, simulate_oracle
 from repro.serving.resilience import (
     RESILIENCE_OFF,
     AdmissionConfig,
@@ -160,10 +160,10 @@ def _resilience(deadlines: dict[str, float]) -> ResilienceConfig:
 
 
 def _run_scenarios():
-    """All four arms on both engines, with invariant verdicts.
+    """All four arms on the engine and the oracle, with verdicts.
 
     Returns ``(scenarios, deadlines)`` where each scenario is a dict
-    with the arm label, the (oracle) report, its SLO and domain
+    with the arm label, the engine's report, its SLO and domain
     reports, the engine bit-equality flag, and both engines'
     invariant verdicts.
     """
@@ -202,22 +202,20 @@ def _run_scenarios():
         )
         if faults is not None:
             kwargs["faults"] = faults
-        oracle = simulate_fleet(requests, pools, **kwargs)
-        columnar = simulate_fleet_columnar(
-            requests, pools, **kwargs
-        ).to_report()
+        report = simulate_fleet(requests, pools, **kwargs)
+        oracle = simulate_oracle(requests, pools, **kwargs)
         brownout = resilience.brownout
         scenarios.append({
             "label": label,
-            "report": oracle,
-            "slo": slo_report(oracle, deadlines),
+            "report": report,
+            "slo": slo_report(report, deadlines),
             "domains": domain_slo_report(
-                oracle, compiled if compiled is not None else empty
+                report, compiled if compiled is not None else empty
             ),
-            "engines_identical": oracle == columnar,
+            "engines_identical": same_report(report, oracle),
             "invariants": tuple(
                 check_invariants(requests, rep, brownout=brownout)
-                for rep in (oracle, columnar)
+                for rep in (oracle, report)
             ),
         })
     return scenarios, deadlines

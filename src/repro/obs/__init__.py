@@ -6,7 +6,7 @@ The fleet engines (:mod:`repro.serving.fleet` and
 trips, hedge cancellations, brownout rung changes and autoscaler
 actions all happen invisibly.  This package is the flight recorder:
 
-* :class:`Telemetry` — the collector both engines emit into when a
+* :class:`Telemetry` — the collector the fleet engine emits into when a
   ``simulate_fleet(..., telemetry=...)`` kwarg is passed.  Zero
   overhead when absent (every hook is an ``if telemetry is None``
   guard) and **purely observational** when present: a telemetry-on

@@ -349,6 +349,9 @@ class Telemetry:
             self._emit(makespan_s)
         self._makespan = makespan_s
         self._finished = True
+        # The sampler is a bound method of the engine's run state; keep
+        # the sealed log from holding that state alive.
+        self._sampler = None
 
     def _emit(self, t: float) -> None:
         self._sample_times.append(t)

@@ -23,8 +23,9 @@ provides the harness around them:
   campaign comes back as the two events that actually trigger it.
 
 Run ``python -m repro.serving.chaos`` for a self-contained smoke
-campaign (generate, compile, run both engines, assert bit-equality
-and invariants) — the CI chaos gate.
+campaign (generate, compile, run the engine and its reference
+:mod:`repro.serving.oracle`, assert bit-equality and invariants) — the
+CI chaos gate.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
+from repro.serving.columnar import _request_columns
 from repro.serving.domains import (
     CampaignEvent,
     CompiledCampaign,
@@ -396,13 +398,6 @@ class InvariantReport:
         return "\n".join(lines)
 
 
-def _request_ids(requests) -> list[int]:
-    ids = getattr(requests, "request_ids", None)
-    if ids is not None:
-        return [int(i) for i in ids]
-    return [req.request_id for req in requests]
-
-
 def check_invariants(
     requests,
     report,
@@ -432,14 +427,14 @@ def check_invariants(
        completion total, utilization stays in ``[0, 1]``, and pool
        shed counts never exceed the shed total.
 
-    Accepts a ``FleetReport`` or a ``ColumnarFleetReport`` (converted
-    via ``to_report()``), plus the submitted requests (a ``Request``
-    sequence or a ``RequestBatch``).
+    Takes the submitted requests in any form
+    :func:`~repro.serving.fleet.simulate_fleet` accepts (a ``Request``
+    sequence, a ``RequestBatch`` or a ``TrafficTrace``) and the run's
+    report; only the report's record tuples, counts and pool stats are
+    read.
     """
-    if hasattr(report, "to_report"):
-        report = report.to_report()
     violations: list[str] = []
-    submitted = _request_ids(requests)
+    submitted = _request_columns(requests).request_ids.tolist()
 
     terminal: dict[int, int] = {}
     for record in report.completed:
@@ -646,8 +641,7 @@ def shrink_campaign(
 
 
 def _smoke(seed: int, duration_s: float) -> int:
-    """Generate a campaign, run both engines, check everything."""
-    from repro.serving.columnar import simulate_fleet_columnar
+    """Generate a campaign, run engine and oracle, check everything."""
     from repro.serving.domains import topology_for_pools
     from repro.serving.faults import RetryPolicy
     from repro.serving.fleet import (
@@ -655,6 +649,7 @@ def _smoke(seed: int, duration_s: float) -> int:
         affine_batch_latency,
         simulate_fleet,
     )
+    from repro.serving.oracle import same_report, simulate_oracle
     from repro.serving.workload import WorkloadMix, generate_requests
 
     fns = {"sd": affine_batch_latency(2.0, marginal_fraction=0.6)}
@@ -693,27 +688,24 @@ def _smoke(seed: int, duration_s: float) -> int:
         compiled = campaign.compile(
             pools=pools, orchestration=orchestration
         )
-        oracle = simulate_fleet(
-            requests, pools, faults=compiled.faults, retry=retry,
-            plan=compiled.plan, engine="oracle",
+        kwargs = dict(
+            faults=compiled.faults, retry=retry, plan=compiled.plan
         )
-        columnar = simulate_fleet_columnar(
-            requests, pools, faults=compiled.faults, retry=retry,
-            plan=compiled.plan,
-        ).to_report()
-        if oracle != columnar:
+        report = simulate_fleet(requests, pools, **kwargs)
+        oracle = simulate_oracle(requests, pools, **kwargs)
+        if not same_report(report, oracle):
             print(f"FAIL [{arm}]: engines diverged")
             status = 1
-        for engine, rep in (("oracle", oracle), ("columnar", columnar)):
+        for engine, rep in (("oracle", oracle), ("columnar", report)):
             verdict = check_invariants(requests, rep)
             if not verdict.ok:
                 print(f"FAIL [{arm}/{engine}]: {verdict.render()}")
                 status = 1
         print(
             f"[{arm}] events={len(campaign.events)} "
-            f"completed={len(oracle.completed)} "
-            f"failed={len(oracle.failed)} "
-            f"makespan={oracle.makespan_s:.1f}s "
+            f"completed={len(report.completed)} "
+            f"failed={len(report.failed)} "
+            f"makespan={report.makespan_s:.1f}s "
             f"engines=bit-identical invariants=ok"
         )
     return status
@@ -725,7 +717,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         description=(
-            "chaos smoke: seeded campaign, both engines, "
+            "chaos smoke: seeded campaign, engine vs oracle, "
             "bit-equality + invariants"
         )
     )

@@ -1,11 +1,13 @@
-"""Columnar (struct-of-arrays) fleet engine.
+"""The fleet simulator's engine: a columnar (struct-of-arrays) event loop.
 
-The event-at-a-time simulator in :mod:`repro.serving.fleet` is the
-*oracle*: one Python object per queued request, one heap entry per
-arrival, a linear scan over servers per dispatch.  Correct, legible —
-and ~45 s per million requests, which makes the paper's fleet-scale
-questions (a million-user day, ServeGen-style trace replay) painful.
-This module is the same simulation re-laid-out for speed:
+:func:`repro.serving.fleet.simulate_fleet` runs every simulation here.
+The event-at-a-time engine it replaced — one Python object per queued
+request, one heap entry per arrival, a linear scan over servers per
+dispatch — took ~45 s per million requests, which made the paper's
+fleet-scale questions (a million-user day, ServeGen-style trace
+replay) painful.  It survives as the test reference,
+:mod:`repro.serving.oracle`, and this module is the same simulation
+re-laid-out for speed:
 
 * **Struct-of-arrays state.**  Requests live as four aligned columns
   (:class:`repro.serving.workload.RequestBatch`); queue entries,
@@ -29,25 +31,19 @@ This module is the same simulation re-laid-out for speed:
   per-event recomputation, each preserving float-op order bit-exactly.
 
 The contract (pinned by ``tests/serving/test_engine_equivalence.py``):
-:func:`simulate_fleet_columnar` produces a report whose
-:meth:`ColumnarFleetReport.to_report` compares **equal** — every float
-bit-identical — to the oracle's
-:class:`repro.serving.fleet.FleetReport` for the same inputs.  One
-assumption the oracle does not make: batch-latency functions must be
-*pure* (the engine caches ``fn(batch_size)`` per pool/model/rung).
-
-All times are **seconds** of simulation time.  Engine compatibility of
-everything in this module: columnar-only (the oracle neither produces
-nor consumes these types).
+the :class:`repro.serving.fleet.FleetReport` built here holds records
+bit-identical to the oracle's for the same inputs
+(:func:`repro.serving.oracle.same_report`).  One assumption the oracle
+does not make: batch-latency functions must be *pure* (the engine
+caches ``fn(batch_size)`` per pool/model/rung).  All times are
+**seconds** of simulation time.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import insort
-from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -55,40 +51,27 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.telemetry import Telemetry
 
 from repro.serving.faults import (
-    FAULT_FREE,
-    NO_RETRIES,
     FaultSchedule,
     RecoveryPlan,
     RetryPolicy,
 )
 from repro.serving.fleet import (
+    REASON_LABELS,
     AutoscalerConfig,
-    FailedRequest,
-    FleetCompletion,
     FleetReport,
     PoolSpec,
     PoolStats,
-    _validate_pools,
 )
 from repro.serving.policies import (
     FifoPolicy,
     ModelAffinityPolicy,
     ShortestJobFirst,
 )
-from repro.serving.resilience import (
-    RESILIENCE_OFF,
-    ResilienceConfig,
-    ResilienceStats,
-    ShedRequest,
-)
+from repro.serving.resilience import ResilienceConfig, ResilienceStats
+from repro.serving.slo import nearest_rank_index
 from repro.serving.workload import Request, RequestBatch
 
-# Terminal-state reason codes, interned once; columnar reports store
-# the small ints and materialize the strings on demand.
-REASON_LABELS = (
-    "unroutable", "crash", "timeout",
-    "shed-rate", "shed-depth", "shed-wait",
-)
+# Indices into :data:`repro.serving.fleet.REASON_LABELS`.
 _R_UNROUTABLE, _R_CRASH, _R_TIMEOUT = 0, 1, 2
 _R_SHED_RATE, _R_SHED_DEPTH, _R_SHED_WAIT = 3, 4, 5
 
@@ -97,185 +80,6 @@ _R_SHED_RATE, _R_SHED_DEPTH, _R_SHED_WAIT = 3, 4, 5
 _RETRY, _FREE, _CRASH, _RECOVER, _TIMEOUT = 0, 1, 2, 3, 4
 _ACTIVATE, _TICK, _HEDGE, _PROBE, _BROWNOUT = 5, 6, 7, 8, 9
 _CORDON, _UNCORDON, _MARKER = 10, 11, 12
-
-
-@dataclass(frozen=True, eq=False)
-class ColumnarFleetReport:
-    """Fleet-simulation output as aligned numpy columns.
-
-    The columnar twin of :class:`repro.serving.fleet.FleetReport`:
-    completions / failures / sheds are parallel arrays (sorted by
-    finish / failure / shed time with stable tie-break, exactly like
-    the oracle's tuples), and :meth:`to_report` materializes the
-    object form bit-identically.  :func:`repro.serving.slo.slo_report`
-    consumes this type directly through its vectorized path — for
-    large runs, never materialize just to compute SLOs.
-
-    All times are seconds.  ``comp_req``/``fail_req``/``shed_req``
-    index the request table columns (``req_*``); ``*_pool`` columns
-    hold indices into ``pool_names`` (−1 encodes the oracle's ``""``
-    pool on unroutable failures and rate-limit sheds); ``fail_reason``
-    / ``shed_reason`` hold indices into :data:`REASON_LABELS`.
-    """
-
-    models: tuple[str, ...]
-    pool_names: tuple[str, ...]
-    req_arrival_s: np.ndarray
-    req_service_s: np.ndarray
-    req_model_ids: np.ndarray
-    req_request_ids: np.ndarray
-    comp_req: np.ndarray
-    comp_pool: np.ndarray
-    comp_server: np.ndarray
-    comp_queued_since_s: np.ndarray
-    comp_start_s: np.ndarray
-    comp_finish_s: np.ndarray
-    comp_attempts: np.ndarray
-    comp_hedged: np.ndarray
-    comp_rung: np.ndarray
-    comp_quality: np.ndarray
-    fail_req: np.ndarray
-    fail_pool: np.ndarray
-    fail_attempts: np.ndarray
-    fail_reason: np.ndarray
-    fail_at_s: np.ndarray
-    shed_req: np.ndarray
-    shed_pool: np.ndarray
-    shed_attempts: np.ndarray
-    shed_reason: np.ndarray
-    shed_at_s: np.ndarray
-    pools: tuple[PoolStats, ...]
-    makespan_s: float
-    offered: int
-    resilience: ResilienceStats
-
-    def __len__(self) -> int:
-        return int(len(self.comp_req))
-
-    @property
-    def completed_count(self) -> int:
-        """Number of successfully served requests."""
-        return int(len(self.comp_req))
-
-    @property
-    def completion_rate(self) -> float:
-        """Fraction of offered requests that eventually completed."""
-        if self.offered == 0:
-            return 0.0
-        return len(self.comp_req) / self.offered
-
-    @property
-    def shed_rate(self) -> float:
-        """Fraction of offered requests rejected by admission."""
-        if self.offered == 0:
-            return 0.0
-        return len(self.shed_req) / self.offered
-
-    @property
-    def latency_s(self) -> np.ndarray:
-        """Client-observed latency per completion (finish − arrival)."""
-        return self.comp_finish_s - self.req_arrival_s[self.comp_req]
-
-    @property
-    def service_s(self) -> np.ndarray:
-        """Final-attempt GPU time per completion (finish − start)."""
-        return self.comp_finish_s - self.comp_start_s
-
-    @property
-    def queueing_s(self) -> np.ndarray:
-        """Per-completion non-service latency (latency − service)."""
-        return self.latency_s - self.service_s
-
-    def _request(self, index: int) -> Request:
-        return Request(
-            request_id=int(self.req_request_ids[index]),
-            arrival_s=float(self.req_arrival_s[index]),
-            model=self.models[int(self.req_model_ids[index])],
-            service_s=float(self.req_service_s[index]),
-        )
-
-    @cached_property
-    def _pools_by_name(self) -> Mapping[str, PoolStats]:
-        return {stats.name: stats for stats in self.pools}
-
-    def pool_stats(self, name: str) -> PoolStats:
-        """Stats for one pool by name (same lookup as FleetReport)."""
-        try:
-            return self._pools_by_name[name]
-        except KeyError:
-            known = ", ".join(stats.name for stats in self.pools)
-            raise ValueError(
-                f"unknown pool {name!r}; known pools: {known}"
-            ) from None
-
-    def to_report(self) -> FleetReport:
-        """Materialize the bit-identical object-form ``FleetReport``.
-
-        Allocates one ``Request``/``FleetCompletion`` per record — fine
-        for inspection and small runs, deliberately avoided by the
-        vectorized SLO path for million-request outputs.
-        """
-        pool_of = self.pool_names
-        completed = tuple(
-            FleetCompletion(
-                request=self._request(req),
-                pool=pool_of[pool],
-                server=server,
-                queued_since_s=queued,
-                start_s=start,
-                finish_s=finish,
-                attempts=attempts,
-                hedged=hedged,
-                rung=rung,
-                quality=quality,
-            )
-            for req, pool, server, queued, start, finish, attempts,
-            hedged, rung, quality in zip(
-                self.comp_req.tolist(), self.comp_pool.tolist(),
-                self.comp_server.tolist(),
-                self.comp_queued_since_s.tolist(),
-                self.comp_start_s.tolist(), self.comp_finish_s.tolist(),
-                self.comp_attempts.tolist(), self.comp_hedged.tolist(),
-                self.comp_rung.tolist(), self.comp_quality.tolist(),
-            )
-        )
-        failed = tuple(
-            FailedRequest(
-                request=self._request(req),
-                pool=pool_of[pool] if pool >= 0 else "",
-                attempts=attempts,
-                reason=REASON_LABELS[reason],
-                failed_at_s=at,
-            )
-            for req, pool, attempts, reason, at in zip(
-                self.fail_req.tolist(), self.fail_pool.tolist(),
-                self.fail_attempts.tolist(), self.fail_reason.tolist(),
-                self.fail_at_s.tolist(),
-            )
-        )
-        shed = tuple(
-            ShedRequest(
-                request=self._request(req),
-                pool=pool_of[pool] if pool >= 0 else "",
-                attempts=attempts,
-                reason=REASON_LABELS[reason],
-                shed_at_s=at,
-            )
-            for req, pool, attempts, reason, at in zip(
-                self.shed_req.tolist(), self.shed_pool.tolist(),
-                self.shed_attempts.tolist(), self.shed_reason.tolist(),
-                self.shed_at_s.tolist(),
-            )
-        )
-        return FleetReport(
-            completed=completed,
-            failed=failed,
-            pools=self.pools,
-            makespan_s=self.makespan_s,
-            offered=self.offered,
-            shed=shed,
-            resilience=self.resilience,
-        )
 
 
 def _request_columns(
@@ -349,9 +153,9 @@ class _ColPool:
 
 
 class _ColumnarState:
-    """The merged arrival/event loop behind the columnar engine.
+    """The merged arrival/event loop behind :func:`simulate_fleet`.
 
-    Mirrors :class:`repro.serving.fleet._FleetState` handler for
+    Mirrors :class:`repro.serving.oracle._FleetState` handler for
     handler; every divergence is a data-structure substitution with a
     proof obligation of bit-exactness (catalogued in
     ``docs/FLEET_CORE.md``).
@@ -573,7 +377,7 @@ class _ColumnarState:
 
     # -- run loop ------------------------------------------------------
 
-    def run(self) -> ColumnarFleetReport:
+    def run(self) -> FleetReport:
         """Merge the arrival column with the event heap to completion."""
         n = len(self.r_arrival)
         offered = n
@@ -1161,14 +965,7 @@ class _ColumnarState:
         ordered = self.samples_sorted[mid]
         if len(ordered) < config.min_samples:
             return None
-        index = max(
-            0,
-            min(
-                len(ordered) - 1,
-                round(config.quantile / 100.0 * len(ordered)) - 1,
-            ),
-        )
-        return ordered[index]
+        return ordered[nearest_rank_index(len(ordered), config.quantile)]
 
     def _route_hedge(self, eid: int) -> _ColPool | None:
         eligible = self.route_pools[self.r_model[self.e_req[eid]]]
@@ -1426,7 +1223,7 @@ class _ColumnarState:
 
     # -- report assembly ----------------------------------------------
 
-    def _build_report(self, offered: int) -> ColumnarFleetReport:
+    def _build_report(self, offered: int) -> FleetReport:
         candidates = [self.last_arrival]
         if self.c_finish:
             candidates.append(max(self.c_finish))
@@ -1483,7 +1280,7 @@ class _ColumnarState:
             for pool in self.pools
         )
         rung_quality = np.asarray(self.rung_quality, dtype=np.float64)
-        return ColumnarFleetReport(
+        return FleetReport(
             models=self.models,
             pool_names=self.pool_names,
             req_arrival_s=self.batch.arrival_s,
@@ -1568,39 +1365,3 @@ class _ColumnarState:
             shed=shed,
         )
 
-
-def simulate_fleet_columnar(
-    requests: Sequence[Request] | RequestBatch,
-    pools: Sequence[PoolSpec],
-    *,
-    retry: RetryPolicy = NO_RETRIES,
-    faults: FaultSchedule = FAULT_FREE,
-    autoscaler: AutoscalerConfig | None = None,
-    resilience: ResilienceConfig = RESILIENCE_OFF,
-    telemetry: "Telemetry | None" = None,
-    plan: RecoveryPlan | None = None,
-) -> ColumnarFleetReport:
-    """Run the columnar fleet engine to completion.
-
-    Semantics are exactly :func:`repro.serving.fleet.simulate_fleet`
-    (the oracle) — same routing, policies, faults, retries, autoscaler
-    and resilience behavior, same determinism contract — returning a
-    :class:`ColumnarFleetReport` whose :meth:`~ColumnarFleetReport
-    .to_report` is bit-identical to the oracle's output.  Requires
-    *pure* batch-latency functions (results are memoized per
-    pool/model/rung/batch-size).  Prefer this engine above ~50 k
-    requests; prefer ``simulate_fleet(..., engine="auto")`` to choose
-    automatically.
-
-    ``telemetry`` takes a fresh :class:`repro.obs.Telemetry`; the
-    emitted spans, fleet events and samples are byte-identical to the
-    oracle's for the same inputs, and passing a collector never
-    changes the simulation outcome.
-    """
-    _validate_pools(pools)
-    batch = _request_columns(requests)
-    state = _ColumnarState(
-        pools, retry, faults, autoscaler, resilience, batch,
-        telemetry=telemetry, plan=plan,
-    )
-    return state.run()

@@ -7,9 +7,8 @@ end-to-end story — "Flash Attention cuts SD service time 1.6x, which
 at 70% load cuts p95 latency by ..." — is computable inside this
 repository.
 
-Engine compatibility: this single-pool FIFO simulator is standalone —
-it predates and sits outside the fleet engine selection
-(``simulate_fleet(..., engine=...)``); there is no columnar variant.
+This single-pool FIFO simulator is standalone: it predates and shares
+no code with the fleet engine (:func:`repro.serving.fleet.simulate_fleet`).
 All times are seconds (``_s`` suffix).
 """
 

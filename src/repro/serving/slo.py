@@ -28,12 +28,10 @@ on-call serving team is paged on.  Formulas (documented here and in
 * **Availability** — ``1 - down / (capacity + down)`` over all pools:
   the fraction of scheduled server-seconds servers were actually up.
 
-Engine compatibility: :func:`slo_report` accepts the output of either
-fleet engine — a :class:`repro.serving.fleet.FleetReport` (oracle)
-takes the record-at-a-time path below, a
-:class:`repro.serving.columnar.ColumnarFleetReport` takes the
-vectorized accumulator — and the two paths produce **bit-identical**
-:class:`SloReport` values (same nearest-rank indices via
+:func:`slo_report` runs a vectorized accumulator over the report's
+columns.  Its reference is the record-at-a-time
+:func:`repro.serving.oracle.oracle_slo_report`; the two return
+**equal** :class:`SloReport` values (same nearest-rank indices via
 :func:`nearest_rank_index`, same left-to-right float summation order,
 same ``None``/``—`` rendering via :func:`fmt_missing`).  All times are
 seconds.
@@ -54,15 +52,14 @@ from typing import Mapping
 import numpy as np
 
 from repro.reporting.table import render_table
-from repro.serving.columnar import ColumnarFleetReport
 from repro.serving.fleet import FleetReport
 
 
 def nearest_rank_index(count: int, p: float) -> int:
     """Index of the p-th nearest-rank percentile in a sorted sample.
 
-    The single definition both SLO paths (record-at-a-time and
-    vectorized) index with, so the two engines cannot drift: for a
+    The single definition every percentile here, the oracle's SLO
+    accounting and the engine's hedge delay index with: for a
     sorted sample of ``count`` values, the percentile is element
     ``max(0, min(count - 1, round(p / 100 * count) - 1))`` (banker's
     ``round``, matching the recorded golden traces).
@@ -92,8 +89,8 @@ def fmt_missing(value: float | None, spec: str = ".2f") -> str:
     """Render a possibly-missing sample; ``—`` means "no data".
 
     The one place the ``None`` -> ``—`` convention is implemented:
-    both the oracle path and the vectorized accumulator produce
-    ``None`` for empty samples, and every renderer formats it here.
+    every accounting path produces ``None`` for empty samples, and
+    every renderer formats it here.
     """
     return "—" if value is None else format(value, spec)
 
@@ -266,7 +263,7 @@ def render_alerts(firings) -> str:
 def _deadline_for(
     deadlines: Mapping[str, float] | float, model: str
 ) -> float:
-    """Resolve one model's deadline (shared by both SLO paths)."""
+    """Resolve one model's deadline (shared with the oracle's path)."""
     if isinstance(deadlines, Mapping):
         try:
             value = deadlines[model]
@@ -289,95 +286,21 @@ def _availability(pools) -> float:
 
 
 def slo_report(
-    report: FleetReport | ColumnarFleetReport,
+    report: FleetReport,
     deadlines: Mapping[str, float] | float,
 ) -> SloReport:
     """Compute SLO accounting from a fleet run.
 
     ``deadlines`` maps model name to its latency deadline in seconds;
-    a scalar applies one deadline to every model.  Accepts either
-    engine's report; a :class:`ColumnarFleetReport` runs through the
-    vectorized accumulator, which produces a bit-identical
-    :class:`SloReport` without materializing per-request objects.
-    """
-    if isinstance(report, ColumnarFleetReport):
-        return _columnar_slo_report(report, deadlines)
-    models = sorted(
-        {record.request.model for record in report.completed}
-        | {record.request.model for record in report.failed}
-        | {record.request.model for record in report.shed}
-    )
-
-    def deadline_for(model: str) -> float:
-        return _deadline_for(deadlines, model)
-
-    per_model = []
-    for model in models:
-        deadline = deadline_for(model)
-        completions = [
-            record for record in report.completed
-            if record.request.model == model
-        ]
-        failures = sum(
-            1 for record in report.failed
-            if record.request.model == model
-        )
-        sheds = sum(
-            1 for record in report.shed
-            if record.request.model == model
-        )
-        latencies = [record.latency_s for record in completions]
-        count = len(completions)
-        per_model.append(
-            ModelSlo(
-                model=model,
-                deadline_s=deadline,
-                completed=count,
-                failed=failures,
-                p50_s=percentile(latencies, 50.0),
-                p95_s=percentile(latencies, 95.0),
-                p99_s=percentile(latencies, 99.0),
-                mean_queueing_s=(
-                    sum(r.queueing_s for r in completions) / count
-                    if count else 0.0
-                ),
-                mean_service_s=(
-                    sum(r.service_s for r in completions) / count
-                    if count else 0.0
-                ),
-                within_deadline=sum(
-                    1 for value in latencies if value <= deadline
-                ),
-                violation_s=sum(
-                    max(0.0, value - deadline) for value in latencies
-                ),
-                shed=sheds,
-                hedged=sum(1 for r in completions if r.hedged),
-                degraded=sum(1 for r in completions if r.rung > 0),
-                quality_debt=sum(
-                    1.0 - r.quality for r in completions if r.rung > 0
-                ),
-            )
-        )
-    return SloReport(
-        per_model=tuple(per_model),
-        availability=_availability(report.pools),
-        makespan_s=report.makespan_s,
-    )
-
-
-def _columnar_slo_report(
-    report: ColumnarFleetReport,
-    deadlines: Mapping[str, float] | float,
-) -> SloReport:
-    """Vectorized SLO accumulator over columnar fleet output.
+    a scalar applies one deadline to every model.  Reads the report's
+    columns and never materializes per-request records.
 
     Per-element arithmetic runs on numpy (bitwise-identical IEEE
-    elementwise ops); *reductions* that the oracle path performs with
-    Python's left-to-right ``sum`` are reduced the same way here (via
-    ``sum(arr.tolist())``, never ``np.sum``, whose pairwise summation
-    differs in the last ulps) — that is what makes the two paths
-    return equal, not merely close, reports.
+    elementwise ops); *reductions* that the record-at-a-time reference
+    performs with Python's left-to-right ``sum`` are reduced the same
+    way here (via ``sum(arr.tolist())``, never ``np.sum``, whose
+    pairwise summation differs in the last ulps) — that is what makes
+    the two return equal, not merely close, reports.
     """
     comp_mid = report.req_model_ids[report.comp_req]
     fail_mid = report.req_model_ids[report.fail_req]
@@ -522,7 +445,7 @@ class TierSloReport:
 
 
 def tier_slo_report(
-    report: FleetReport | ColumnarFleetReport,
+    report: FleetReport,
     trace,
     deadlines: Mapping[str, float] | float,
 ) -> TierSloReport:
@@ -531,11 +454,11 @@ def tier_slo_report(
     ``trace`` is the :class:`repro.serving.traffic.TrafficTrace` the
     run replayed — its request ids are row indices carrying the
     request -> client -> tier join.  ``deadlines`` is per model, as in
-    :func:`slo_report`.  Accepts either engine's report and produces
-    identical values for both (percentiles sort the same float
-    samples; counts are exact).  Tiers with no clients or no traffic
-    are still reported, with ``None`` percentiles and goodput — the
-    empty-scenario path is a first-class output, not an error.
+    :func:`slo_report`.  Its reference is the record-at-a-time
+    :func:`repro.serving.oracle.oracle_tier_slo_report`.  Tiers with no
+    clients or no traffic are still reported, with ``None``
+    percentiles and goodput — the empty-scenario path is a first-class
+    output, not an error.
     """
     from repro.serving.traffic import TIER_NAMES, TrafficTrace
 
@@ -546,21 +469,14 @@ def tier_slo_report(
         request_tiers = trace.client_tiers[trace.client_ids]
     else:
         request_tiers = np.zeros(n, dtype=np.int64)
-    if isinstance(report, ColumnarFleetReport):
-        comp_ids = report.req_request_ids[report.comp_req].tolist()
-        comp_models = [
-            report.models[mid]
-            for mid in report.req_model_ids[report.comp_req].tolist()
-        ]
-        comp_latency = report.latency_s.tolist()
-        fail_ids = report.req_request_ids[report.fail_req].tolist()
-        shed_ids = report.req_request_ids[report.shed_req].tolist()
-    else:
-        comp_ids = [r.request.request_id for r in report.completed]
-        comp_models = [r.request.model for r in report.completed]
-        comp_latency = [r.latency_s for r in report.completed]
-        fail_ids = [r.request.request_id for r in report.failed]
-        shed_ids = [r.request.request_id for r in report.shed]
+    comp_ids = report.req_request_ids[report.comp_req].tolist()
+    comp_models = [
+        report.models[mid]
+        for mid in report.req_model_ids[report.comp_req].tolist()
+    ]
+    comp_latency = report.latency_s.tolist()
+    fail_ids = report.req_request_ids[report.fail_req].tolist()
+    shed_ids = report.req_request_ids[report.shed_req].tolist()
 
     def tier_of(request_id: int) -> int:
         if not 0 <= request_id < n:
@@ -674,7 +590,7 @@ class DomainSloReport:
 
 
 def domain_slo_report(
-    report: FleetReport | ColumnarFleetReport,
+    report: FleetReport,
     compiled,
 ) -> DomainSloReport:
     """Per-domain availability, MTTD, and MTTR for one fleet run.
@@ -682,9 +598,8 @@ def domain_slo_report(
     ``compiled`` is the :class:`repro.serving.domains.CompiledCampaign`
     the run replayed — its crash windows (clipped to the run's
     makespan) give each domain's down server-seconds, and its compiled
-    events carry detection/restoration times.  Accepts either engine's
-    report and produces identical values for both (the computation
-    reads only ``makespan_s``).
+    events carry detection/restoration times.  Only the report's
+    ``makespan_s`` is read.
     """
     from repro.serving.domains import domain_downtime
 

@@ -33,8 +33,8 @@ Three layers:
   through a versioned JSON-lines schema (:func:`dumps_trace` /
   :func:`loads_trace` / :func:`save_trace` / :func:`load_trace`), and
   exposes the stream as both a columnar :class:`RequestBatch`
-  (``trace.batch``) and a ``list[Request]`` (``trace.to_requests()``),
-  so both fleet engines replay it natively.
+  (``trace.batch``) and a ``list[Request]`` (``trace.to_requests()``);
+  :func:`repro.serving.fleet.simulate_fleet` replays it natively.
 
 Scenario edits (:class:`ScaleRates`, :class:`ScaleClients`,
 :class:`AddRateWindow`, :class:`AddMixWindow`, :class:`SetRamp`) are
@@ -659,9 +659,10 @@ class TrafficTrace:
     generator parameters (or provenance for derived traces) and
     round-trips through the header record.
 
-    Engine compatibility: both fleet engines accept a ``TrafficTrace``
-    directly wherever they accept requests — the columnar engine
-    ingests ``batch`` as-is, the oracle engine materializes it.
+    :func:`repro.serving.fleet.simulate_fleet` and
+    :func:`repro.serving.chaos.check_invariants` accept a
+    ``TrafficTrace`` wherever they accept requests and read its
+    ``batch`` as-is.
     """
 
     models: tuple[str, ...]

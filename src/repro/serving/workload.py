@@ -87,10 +87,10 @@ class RequestBatch:
     instead of ~10⁶ boxed objects, and ingestion into the engine is a
     buffer handoff rather than an attribute-access loop.
 
-    Engine compatibility: both engines accept a ``RequestBatch``
-    wherever they accept ``Sequence[Request]`` (the oracle engine
-    materializes it via :meth:`to_requests` first — convenient, but it
-    forfeits the memory advantage).
+    :func:`repro.serving.fleet.simulate_fleet` accepts a
+    ``RequestBatch`` wherever it accepts ``Sequence[Request]``; the
+    reference engine in :mod:`repro.serving.oracle` materializes it via
+    :meth:`to_requests` first.
 
     Attributes:
         models: interned model-name table; ``model_ids`` indexes it.
@@ -387,8 +387,7 @@ def generate_requests_batch(
     deterministic but *different* random stream than the scalar
     generators at the same seed (see the module seeding contract).
 
-    Engine compatibility: both (the oracle engine materializes the
-    batch into ``Request`` objects first).
+    Feed it straight to :func:`repro.serving.fleet.simulate_fleet`.
 
     ``arrival_rate`` may be 0 — the batch is empty but keeps the
     mix's model table; negative rates are rejected.

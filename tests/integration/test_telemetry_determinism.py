@@ -4,8 +4,8 @@ The JSONL export claims byte determinism — same simulation, same
 bytes, in any process.  Hash randomization, dict ordering accidents or
 float formatting drift would all break that silently inside one
 interpreter; this test runs the same instrumented simulation in two
-fresh subprocesses (explicitly different ``PYTHONHASHSEED``) on both
-engines and compares sha256 digests of the serialized telemetry.
+fresh subprocesses (explicitly different ``PYTHONHASHSEED``) on the
+engine and its oracle and compares sha256 digests of the serialized telemetry.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ import hashlib
 import sys
 
 from repro.obs import Telemetry, dumps_telemetry
-from repro.serving.columnar import simulate_fleet_columnar
 from repro.serving.faults import Crash, FaultSchedule, RetryPolicy
 from repro.serving.fleet import (
     PoolSpec, affine_batch_latency, simulate_fleet,
 )
+from repro.serving.oracle import simulate_oracle
 from repro.serving.resilience import (
     CircuitBreakerConfig, HedgeConfig, ResilienceConfig,
 )
@@ -64,7 +64,7 @@ kwargs = dict(
         hedge=HedgeConfig(delay_s=6.0),
     ),
 )
-for simulate in (simulate_fleet, simulate_fleet_columnar):
+for simulate in (simulate_oracle, simulate_fleet):
     telemetry = Telemetry(sample_interval_s=5.0)
     simulate(requests, pools, telemetry=telemetry, **kwargs)
     text = dumps_telemetry(telemetry.log())

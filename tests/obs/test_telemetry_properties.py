@@ -2,8 +2,8 @@
 
 The collector's two load-bearing promises, searched with Hypothesis
 over random small fleets with every mechanism toggled: (1) attaching a
-:class:`~repro.obs.Telemetry` changes *nothing* — both engines return
-reports equal to their telemetry-free runs — and (2) the two engines
+:class:`~repro.obs.Telemetry` changes *nothing* — the engine and its oracle
+return reports equal to their telemetry-free runs — and (2) the two
 emit *byte-identical* telemetry for the same scenario, with every span
 passing the state-machine validator.  Any heap push, float reorder or
 string-formatting divergence introduced by an instrumentation hook
@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import Telemetry, dumps_telemetry, validate_span
-from repro.serving.columnar import simulate_fleet_columnar
 from repro.serving.faults import (
     FAULT_FREE,
     NO_RETRIES,
@@ -27,6 +26,7 @@ from repro.serving.fleet import (
     affine_batch_latency,
     simulate_fleet,
 )
+from repro.serving.oracle import same_report, simulate_oracle
 from repro.serving.resilience import (
     AdmissionConfig,
     BrownoutConfig,
@@ -157,19 +157,19 @@ def test_telemetry_is_inert_on_both_engines(scenario):
         retry=retry, faults=faults,
         autoscaler=autoscaler, resilience=resilience,
     )
-    blind = simulate_fleet(requests, pools, **kwargs)
-    observed = simulate_fleet(
+    blind = simulate_oracle(requests, pools, **kwargs)
+    observed = simulate_oracle(
         requests, pools, telemetry=Telemetry(sample_interval_s=7.0),
         **kwargs,
     )
     assert observed == blind
-    col_blind = simulate_fleet_columnar(requests, pools, **kwargs)
-    col_observed = simulate_fleet_columnar(
+    col_blind = simulate_fleet(requests, pools, **kwargs)
+    col_observed = simulate_fleet(
         requests, pools, telemetry=Telemetry(sample_interval_s=7.0),
         **kwargs,
     )
-    assert col_observed.to_report() == col_blind.to_report()
-    assert col_blind.to_report() == blind
+    assert col_observed == col_blind
+    assert same_report(col_blind, blind)
 
 
 @settings(max_examples=40, deadline=None)
@@ -181,11 +181,9 @@ def test_engines_emit_identical_telemetry(scenario):
         autoscaler=autoscaler, resilience=resilience,
     )
     oracle_tel = Telemetry(sample_interval_s=7.0)
-    simulate_fleet(requests, pools, telemetry=oracle_tel, **kwargs)
+    simulate_oracle(requests, pools, telemetry=oracle_tel, **kwargs)
     columnar_tel = Telemetry(sample_interval_s=7.0)
-    simulate_fleet_columnar(
-        requests, pools, telemetry=columnar_tel, **kwargs
-    )
+    simulate_fleet(requests, pools, telemetry=columnar_tel, **kwargs)
     oracle_log = oracle_tel.log()
     assert dumps_telemetry(oracle_log) == dumps_telemetry(
         columnar_tel.log()

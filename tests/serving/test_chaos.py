@@ -1,8 +1,10 @@
 """Chaos harness tests: generation, serialization, invariants,
-shrinking — plus the hypothesis invariant gate over both engines."""
+shrinking — plus the hypothesis invariant gate over the engine and its
+oracle."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,6 @@ from repro.serving.chaos import (
     save_campaign,
     shrink_campaign,
 )
-from repro.serving.columnar import simulate_fleet_columnar
 from repro.serving.domains import (
     NetworkPartition,
     OrchestrationConfig,
@@ -40,13 +41,23 @@ from repro.serving.fleet import (
     affine_batch_latency,
     simulate_fleet,
 )
+from repro.serving.oracle import simulate_oracle
 from repro.serving.resilience import (
     AdmissionConfig,
     BrownoutConfig,
     DegradedRung,
     ResilienceConfig,
 )
-from repro.serving.workload import WorkloadMix, generate_requests
+from repro.serving.traffic import (
+    ClientPopulation,
+    cards_from_mix,
+    generate_traffic,
+)
+from repro.serving.workload import (
+    WorkloadMix,
+    generate_requests,
+    generate_requests_batch,
+)
 
 FNS = {"sd": affine_batch_latency(2.0, marginal_fraction=0.6)}
 MIX = WorkloadMix(shares={"sd": 1.0}, service_s={"sd": 2.0})
@@ -153,11 +164,25 @@ class TestInvariants:
     def _run(self, requests, pools, **kwargs):
         return simulate_fleet(requests, pools, **kwargs)
 
-    def test_healthy_run_passes(self):
+    @pytest.mark.parametrize("form", ["requests", "batch", "trace"])
+    def test_healthy_run_passes(self, form):
         pools = _pools()
-        requests = generate_requests(
-            MIX, arrival_rate=2.0, duration_s=120.0, seed=1
-        )
+        if form == "requests":
+            requests = generate_requests(
+                MIX, arrival_rate=2.0, duration_s=120.0, seed=1
+            )
+        elif form == "batch":
+            requests = generate_requests_batch(
+                MIX, arrival_rate=2.0, duration_s=120.0, seed=1
+            )
+        else:
+            requests = generate_traffic(
+                ClientPopulation(
+                    cards=cards_from_mix(MIX), n_clients=20,
+                    mean_rate_per_client=0.1,
+                ),
+                duration_s=120.0, seed=1,
+            )
         verdict = check_invariants(
             requests, self._run(requests, pools)
         )
@@ -223,9 +248,14 @@ class TestInvariants:
             MIX, arrival_rate=2.0, duration_s=60.0, seed=3
         )
         report = self._run(requests, pools)
-        corrupt = dataclasses.replace(
-            report, completed=report.completed + report.completed[:1]
-        )
+        corrupt = dataclasses.replace(report, **{
+            field.name: np.concatenate(
+                [getattr(report, field.name),
+                 getattr(report, field.name)[:1]]
+            )
+            for field in dataclasses.fields(report)
+            if field.name.startswith("comp_")
+        })
         verdict = check_invariants(requests, corrupt)
         assert not verdict.ok
         assert any(
@@ -258,25 +288,17 @@ class TestInvariants:
             MIX, arrival_rate=2.0, duration_s=60.0, seed=3
         )
         report = self._run(requests, pools)
-        first = dataclasses.replace(
-            report.completed[0], rung=3, quality=0.5
-        )
+        rung = report.comp_rung.copy()
+        quality = report.comp_quality.copy()
+        rung[0], quality[0] = 3, 0.5
         corrupt = dataclasses.replace(
-            report, completed=(first,) + report.completed[1:]
+            report, comp_rung=rung, comp_quality=quality
         )
         verdict = check_invariants(requests, corrupt)
         assert any(
             "quality_debt_bounded" in violation
             for violation in verdict.violations
         )
-
-    def test_columnar_report_accepted_directly(self):
-        pools = _pools()
-        requests = generate_requests(
-            MIX, arrival_rate=2.0, duration_s=60.0, seed=4
-        )
-        columnar = simulate_fleet_columnar(requests, pools)
-        assert check_invariants(requests, columnar).ok
 
 
 class TestShrinking:
@@ -366,12 +388,12 @@ def test_invariants_hold_on_both_engines(scenario):
     the structural invariants on both engines.  A violation here is
     an engine bug, not a chaos artifact."""
     requests, pools, faults, retry = scenario
-    oracle = simulate_fleet(
+    oracle = simulate_oracle(
         requests, pools, faults=faults, retry=retry
     )
-    columnar = simulate_fleet_columnar(
+    production = simulate_fleet(
         requests, pools, faults=faults, retry=retry
     )
-    for report in (oracle, columnar):
+    for report in (oracle, production):
         verdict = check_invariants(requests, report)
         assert verdict.ok, verdict.render()

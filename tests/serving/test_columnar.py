@@ -1,30 +1,29 @@
-"""Unit tests for the columnar fleet engine's public surface.
+"""Unit tests for the fleet engine's public surface.
 
 Equivalence with the oracle lives in
 ``tests/serving/test_engine_equivalence.py``; this file covers the
 pieces around the hot loop: the :class:`RequestBatch` container and
 its validation, the batched workload generator's determinism, the
-``engine=`` selection flag on :func:`simulate_fleet`, the
-:class:`ColumnarFleetReport` accessors, and the shared
-empty-sample helpers (``nearest_rank_index`` / ``fmt_missing``).
+request forms :func:`simulate_fleet` accepts, the :class:`FleetReport`
+column accessors, and the shared empty-sample helpers
+(``nearest_rank_index`` / ``fmt_missing``).
 """
 
 import numpy as np
 import pytest
 
-from repro.serving.columnar import (
-    ColumnarFleetReport,
-    simulate_fleet_columnar,
-)
 from repro.serving.fleet import (
-    AUTO_COLUMNAR_THRESHOLD,
-    FLEET_ENGINES,
-    FleetReport,
     PoolSpec,
     affine_batch_latency,
     simulate_fleet,
 )
+from repro.serving.oracle import same_report, simulate_oracle
 from repro.serving.slo import fmt_missing, nearest_rank_index, percentile
+from repro.serving.traffic import (
+    ClientPopulation,
+    cards_from_mix,
+    generate_traffic,
+)
 from repro.serving.workload import (
     Request,
     RequestBatch,
@@ -165,58 +164,43 @@ class TestGenerateRequestsBatch:
             )
 
 
-class TestEngineSelection:
-    def test_default_engine_is_oracle(self):
-        requests = generate_requests(
-            MIX, arrival_rate=2.0, duration_s=20.0, seed=1
-        )
-        report = simulate_fleet(requests, [_pool()])
-        assert isinstance(report, FleetReport)
-
-    def test_columnar_engine_returns_columnar_report(self):
-        requests = generate_requests(
-            MIX, arrival_rate=2.0, duration_s=20.0, seed=1
-        )
-        report = simulate_fleet(
-            requests, [_pool()], engine="columnar"
-        )
-        assert isinstance(report, ColumnarFleetReport)
-
-    def test_auto_picks_oracle_below_threshold(self):
-        requests = generate_requests(
-            MIX, arrival_rate=2.0, duration_s=20.0, seed=1
-        )
-        assert len(requests) < AUTO_COLUMNAR_THRESHOLD
-        report = simulate_fleet(requests, [_pool()], engine="auto")
-        assert isinstance(report, FleetReport)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            simulate_fleet([], [_pool()], engine="bogus")
-        assert set(FLEET_ENGINES) == {"oracle", "columnar", "auto"}
-
+class TestSimulateFleetInputs:
     def test_request_batch_accepted_by_both_engines(self):
         batch = generate_requests_batch(
             MIX, arrival_rate=4.0, duration_s=30.0, seed=9
         )
-        oracle = simulate_fleet(batch, [_pool()])
-        columnar = simulate_fleet(batch, [_pool()], engine="columnar")
-        assert columnar.to_report() == oracle
+        oracle = simulate_oracle(batch, [_pool()])
+        report = simulate_fleet(batch, [_pool()])
+        assert same_report(report, oracle)
+        assert report == simulate_fleet(batch.to_requests(), [_pool()])
+
+    def test_traffic_trace_accepted_like_its_batch(self):
+        trace = generate_traffic(
+            ClientPopulation(
+                cards=cards_from_mix(MIX), n_clients=10,
+                mean_rate_per_client=0.2,
+            ),
+            duration_s=60.0, seed=3,
+        )
+        assert len(trace) > 0
+        report = simulate_fleet(trace, [_pool()])
+        assert report == simulate_fleet(trace.batch, [_pool()])
+        assert same_report(report, simulate_oracle(trace, [_pool()]))
 
     def test_empty_pools_rejected(self):
         with pytest.raises(ValueError):
             simulate_fleet([], [])
         with pytest.raises(ValueError):
-            simulate_fleet_columnar([], [])
+            simulate_oracle([], [])
 
 
-class TestColumnarReportAccessors:
+class TestFleetReportAccessors:
     @pytest.fixture(scope="class")
     def report(self):
         requests = generate_requests(
             MIX, arrival_rate=4.0, duration_s=60.0, seed=2
         )
-        return simulate_fleet_columnar(requests, [_pool()])
+        return simulate_fleet(requests, [_pool()])
 
     def test_counts_are_consistent(self, report):
         assert report.offered == (
@@ -241,14 +225,16 @@ class TestColumnarReportAccessors:
         with pytest.raises(ValueError, match="unknown pool"):
             report.pool_stats("missing")
 
-    def test_to_report_matches_accessors(self, report):
-        materialized = report.to_report()
-        assert len(materialized.completed) == report.completed_count
-        assert materialized.makespan_s == report.makespan_s
-        assert [c.request.model for c in materialized.completed] == [
+    def test_records_match_columns(self, report):
+        assert len(report.completed) == report.completed_count
+        assert report.completed is report.completed  # cached
+        assert [c.request.model for c in report.completed] == [
             report.models[m]
             for m in report.req_model_ids[report.comp_req]
         ]
+        assert report.retried_count == sum(
+            1 for record in report.completed if record.retried
+        )
 
 
 class TestSharedEmptySampleHelpers:

@@ -1,22 +1,22 @@
-"""Oracle/columnar engine equivalence (the columnar core's contract).
+"""Engine/oracle equivalence (the fleet engine's contract).
 
-The columnar engine (``repro.serving.columnar``) promises *bit-exact*
-agreement with the event-at-a-time oracle — not statistical closeness:
-``ColumnarFleetReport.to_report()`` must compare equal to the oracle's
-``FleetReport`` (every float identical), and ``slo_report`` must return
-equal ``SloReport`` values through both its record-at-a-time and its
-vectorized path.  Hypothesis searches random small fleets — mixed
-pools, every built-in policy, faults on/off, each resilience mechanism
-independently toggled, autoscaler on/off — because the engines share no
-code in their hot loops: any divergence in event ordering, float-op
-order, or terminal-state bookkeeping shows up here as a first
-mismatching record.
+The fleet engine (``repro.serving.columnar``, run by
+``simulate_fleet``) promises *bit-exact* agreement with the
+event-at-a-time reference in ``repro.serving.oracle`` — not
+statistical closeness: every record of the engine's ``FleetReport``
+must compare equal to the oracle's (every float identical), and the
+vectorized ``slo_report`` must return an ``SloReport`` equal to the
+oracle's record-at-a-time accounting.  Hypothesis searches random small
+fleets — mixed pools, every built-in policy, faults on/off, each
+resilience mechanism independently toggled, autoscaler on/off — because
+the engines share no code in their hot loops: any divergence in event
+ordering, float-op order, or terminal-state bookkeeping shows up here
+as a first mismatching record.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serving.columnar import simulate_fleet_columnar
 from repro.serving.faults import (
     FAULT_FREE,
     NO_RETRIES,
@@ -28,6 +28,12 @@ from repro.serving.fleet import (
     PoolSpec,
     affine_batch_latency,
     simulate_fleet,
+)
+from repro.serving.oracle import (
+    oracle_slo_report,
+    oracle_tier_slo_report,
+    same_report,
+    simulate_oracle,
 )
 from repro.serving.policies import policy_from_name
 from repro.serving.resilience import (
@@ -189,25 +195,24 @@ def fleet_scenarios(draw):
 def assert_engines_agree(
     requests, pools, retry, faults, autoscaler, resilience
 ):
-    """Run both engines and assert bit-exact report + SLO equality."""
-    oracle = simulate_fleet(
+    """Run engine and oracle; assert bit-exact report + SLO equality."""
+    oracle = simulate_oracle(
         requests, pools, retry=retry, faults=faults,
         autoscaler=autoscaler, resilience=resilience,
     )
-    columnar = simulate_fleet_columnar(
+    report = simulate_fleet(
         requests, pools, retry=retry, faults=faults,
         autoscaler=autoscaler, resilience=resilience,
     )
-    materialized = columnar.to_report()
-    assert materialized.offered == oracle.offered
-    assert materialized.completed == oracle.completed
-    assert materialized.failed == oracle.failed
-    assert materialized.shed == oracle.shed
-    assert materialized.pools == oracle.pools
-    assert materialized.makespan_s == oracle.makespan_s
-    assert materialized.resilience == oracle.resilience
-    assert materialized == oracle
-    assert slo_report(columnar, DEADLINES) == slo_report(
+    assert report.offered == oracle.offered
+    assert report.completed == oracle.completed
+    assert report.failed == oracle.failed
+    assert report.shed == oracle.shed
+    assert report.pools == oracle.pools
+    assert report.makespan_s == oracle.makespan_s
+    assert report.resilience == oracle.resilience
+    assert same_report(report, oracle)
+    assert slo_report(report, DEADLINES) == oracle_slo_report(
         oracle, DEADLINES
     )
 
@@ -270,8 +275,8 @@ def traffic_traces(draw):
     policy=st.sampled_from(("fifo", "sjf", "affinity")),
 )
 def test_replayed_traces_bit_exact(trace, servers, max_batch, policy):
-    """Client-structured workloads through both engines: bit-identical
-    reports, SLO accounting, and per-tier breakdowns."""
+    """Client-structured workloads through engine and oracle:
+    bit-identical reports, SLO accounting, and per-tier breakdowns."""
     pool = PoolSpec(
         name="pool0",
         machine="dgx-a100-80g",
@@ -280,15 +285,15 @@ def test_replayed_traces_bit_exact(trace, servers, max_batch, policy):
         max_batch=max_batch,
         policy=policy_from_name(policy),
     )
-    oracle = simulate_fleet(trace, [pool])
-    columnar = simulate_fleet_columnar(trace, [pool])
-    assert columnar.to_report() == oracle
-    assert slo_report(columnar, DEADLINES) == slo_report(
+    oracle = simulate_oracle(trace, [pool])
+    report = simulate_fleet(trace, [pool])
+    assert same_report(report, oracle)
+    assert slo_report(report, DEADLINES) == oracle_slo_report(
         oracle, DEADLINES
     )
     assert tier_slo_report(
-        columnar, trace, DEADLINES
-    ) == tier_slo_report(oracle, trace, DEADLINES)
+        report, trace, DEADLINES
+    ) == oracle_tier_slo_report(oracle, trace, DEADLINES)
 
 
 class TestPlannerPoolEquivalence:
@@ -331,16 +336,16 @@ class TestPlannerPoolEquivalence:
             population, duration_s=120.0, seed=31
         )))
         pools = [auto_pool, hand_pool]
-        oracle = simulate_fleet(trace, pools)
-        columnar = simulate_fleet_columnar(trace, pools)
-        assert columnar.to_report() == oracle
+        oracle = simulate_oracle(trace, pools)
+        report = simulate_fleet(trace, pools)
+        assert same_report(report, oracle)
         deadline = {"stable_diffusion": 4.0 * point.latency_s}
-        assert slo_report(columnar, deadline) == slo_report(
+        assert slo_report(report, deadline) == oracle_slo_report(
             oracle, deadline
         )
         assert tier_slo_report(
-            columnar, trace, deadline
-        ) == tier_slo_report(oracle, trace, deadline)
+            report, trace, deadline
+        ) == oracle_tier_slo_report(oracle, trace, deadline)
         # The planner's curve really reached the engines: every
         # completion on the auto pool took at least one batch-1 service
         # time from the symbolic basis.
@@ -608,15 +613,15 @@ def test_correlated_campaigns_bit_exact(scenario):
     degraded links, recovery plans — replay bit-identically on both
     engines.  The extension of the engine contract this PR adds."""
     requests, pools, retry, compiled = scenario
-    oracle = simulate_fleet(
+    oracle = simulate_oracle(
         requests, pools, retry=retry, faults=compiled.faults,
         plan=compiled.plan,
     )
-    columnar = simulate_fleet_columnar(
+    report = simulate_fleet(
         requests, pools, retry=retry, faults=compiled.faults,
         plan=compiled.plan,
     )
-    assert columnar.to_report() == oracle
-    assert slo_report(columnar, DEADLINES) == slo_report(
+    assert same_report(report, oracle)
+    assert slo_report(report, DEADLINES) == oracle_slo_report(
         oracle, DEADLINES
     )

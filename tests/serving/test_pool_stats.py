@@ -8,12 +8,12 @@ the cached name index rather than rescanning the tuple.
 
 import pytest
 
-from repro.serving.columnar import simulate_fleet_columnar
 from repro.serving.fleet import (
     PoolSpec,
     affine_batch_latency,
     simulate_fleet,
 )
+from repro.serving.oracle import simulate_oracle
 from repro.serving.workload import WorkloadMix, generate_requests
 
 
@@ -35,8 +35,8 @@ def reports():
         ),
     ]
     return (
+        simulate_oracle(requests, pools),
         simulate_fleet(requests, pools),
-        simulate_fleet_columnar(requests, pools),
     )
 
 

@@ -252,11 +252,14 @@ class TestDomainSlo:
         assert hit.mttr_s == pytest.approx(20.0 + 5.0)
 
     def test_both_engines_agree(self):
-        from repro.serving.columnar import simulate_fleet_columnar
         from repro.serving.domains import (
             ZoneOutage,
             compile_campaign,
             topology_for_pools,
+        )
+        from repro.serving.oracle import (
+            oracle_slo_report,
+            simulate_oracle,
         )
         from repro.serving.slo import domain_slo_report
 
@@ -274,11 +277,12 @@ class TestDomainSlo:
             pools=pools,
         )
         requests = burst(30, 2.0)
-        oracle = simulate_fleet(
+        oracle = simulate_oracle(
             requests, pools, faults=compiled.faults
         )
-        columnar = simulate_fleet_columnar(
+        report = simulate_fleet(
             requests, pools, faults=compiled.faults
         )
         assert domain_slo_report(oracle, compiled) == \
-            domain_slo_report(columnar, compiled)
+            domain_slo_report(report, compiled)
+        assert slo_report(report, 3.0) == oracle_slo_report(oracle, 3.0)

@@ -12,12 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.serving.columnar import simulate_fleet_columnar
 from repro.serving.fleet import (
     PoolSpec,
     affine_batch_latency,
     simulate_fleet,
 )
+from repro.serving.oracle import oracle_tier_slo_report, simulate_oracle
 from repro.serving.slo import tier_slo_report
 from repro.serving.traffic import (
     HEAVY_TIER_FRACTION,
@@ -471,13 +471,14 @@ class TestTierSloReport:
             duration_s=300.0, seed=13,
         )
         deadlines = {"sd": 6.0, "muse": 2.0}
-        oracle = tier_slo_report(
+        production = tier_slo_report(
             simulate_fleet(trace, [pool()]), trace, deadlines
         )
-        columnar = tier_slo_report(
-            simulate_fleet_columnar(trace, [pool()]), trace, deadlines
+        oracle = simulate_oracle(trace, [pool()])
+        assert production == oracle_tier_slo_report(
+            oracle, trace, deadlines
         )
-        assert oracle == columnar
+        assert sum(e.offered for e in production.per_tier) == len(trace)
 
     def test_empty_trace_renders_all_dashes(self):
         trace = generate_traffic(

@@ -56,8 +56,10 @@ from repro.distributed.partition import (
     PipelineParallel,
     ShardedEvent,
     TensorParallel,
+    TPOpTable,
     event_repeat,
     strategy_from_name,
+    tp_op_table,
     trace_repeats,
 )
 from repro.distributed.planner import (
@@ -149,6 +151,7 @@ __all__ = [
     "ShardRole",
     "ShardedEvent",
     "TPAxis",
+    "TPOpTable",
     "TensorParallel",
     "TimelineEntry",
     "Topology",
@@ -160,6 +163,7 @@ __all__ = [
     "event_repeat",
     "forward_makespan",
     "ideal_bubble_fraction",
+    "tp_op_table",
     "trace_repeats",
     "machine_from_name",
     "machine_names",

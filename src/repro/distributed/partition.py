@@ -37,6 +37,8 @@ import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.distributed.collectives import CollectiveKind
 from repro.distributed.sharding import ShardRole, even_split, shard_op
 from repro.ir.ops import Op, OpCategory
@@ -72,7 +74,18 @@ def trace_repeats(trace: Trace) -> list[int]:
     """Fold factor of every event of ``trace``, cached per trace object."""
     repeats = _REPEAT_CACHE.get(trace)
     if repeats is None or len(repeats) != len(trace.events):
-        repeats = [event_repeat(event) for event in trace.events]
+        # The factor is a pure function of (op, cost), and replayed
+        # events share both objects: derive it once per distinct pair
+        # (identity keys are valid while the trace holds the objects).
+        memo: dict[tuple[int, int], int] = {}
+        repeats = []
+        append = repeats.append
+        for event in trace.events:
+            key = (id(event.op), id(event.cost))
+            repeat = memo.get(key)
+            if repeat is None:
+                repeat = memo[key] = event_repeat(event)
+            append(repeat)
         _REPEAT_CACHE[trace] = repeats
     return repeats
 
@@ -257,10 +270,7 @@ class TensorParallel(PartitionStrategy):
             else:
                 resolved = nonparam_memo.get(op_id)
                 if resolved is None:
-                    if op.category is OpCategory.ATTENTION:
-                        resolved = resolve(op, ShardRole.HEAD, None)
-                    else:
-                        resolved = resolve(op, ShardRole.SEQUENCE, None)
+                    resolved = resolve(op, self.activation_role(op), None)
                     nonparam_memo[op_id] = resolved
             role, shards, comm = resolved
             append(
@@ -275,6 +285,13 @@ class TensorParallel(PartitionStrategy):
             sharded_events=sharded,
             source=trace,
         )
+
+    @staticmethod
+    def activation_role(op: Op) -> ShardRole:
+        """Split of a weight-free op: head-parallel attention, else sequence."""
+        if op.category is OpCategory.ATTENTION:
+            return ShardRole.HEAD
+        return ShardRole.SEQUENCE
 
     # Leaf-role maps per trace: scaling sweeps re-partition one trace
     # for every world size, and the assignment is world-independent.
@@ -344,8 +361,8 @@ class TensorParallel(PartitionStrategy):
             if not owns:
                 continue
             leaf = event.module_path
-            scope = _parent_scope(leaf)
             if op.category is OpCategory.ATTENTION:
+                scope = _parent_scope(leaf)
                 if leaf in roles:
                     if roles[leaf][0] is ShardRole.ROW:
                         anchor_seen[scope] = False
@@ -357,6 +374,7 @@ class TensorParallel(PartitionStrategy):
                 continue
             if leaf in roles:
                 continue
+            scope = _parent_scope(leaf)
             if next_is_column.get(scope, True):
                 roles[leaf] = (ShardRole.COLUMN, None)
                 next_is_column[scope] = False
@@ -371,6 +389,98 @@ class TensorParallel(PartitionStrategy):
         for leaf in pending_column.values():
             roles[leaf] = (ShardRole.COLUMN, CollectiveKind.ALL_GATHER)
         return roles
+
+
+class TPOpTable(NamedTuple):
+    """Tensor-parallel view of one trace: distinct variants, per-event columns.
+
+    A *variant* is one distinct ``(op, role, collective kind)`` triple —
+    :meth:`TensorParallel.partition` shards and prices it identically
+    wherever it appears, so a consumer can price each variant once and
+    expand to events with gathers.  Suite traces hold ~20-35k events but
+    only a few hundred to a few thousand variants.
+
+    Attributes:
+        variants: distinct triples, in first-appearance order; the kind
+            is the collective the event needs after it at ``tp > 1``.
+        variant: per-event index into ``variants`` (``intp``).
+        repeat: per-event fold factor (``intp``, see :func:`event_repeat`).
+        out_bytes: per-event unsharded output bytes (``float64``).
+        time_s: per-event profiled ``event.cost.time_s`` (``float64``).
+
+    The columns are read-only so consumers may share them.
+    """
+
+    variants: tuple[tuple[Op, ShardRole, CollectiveKind | None], ...]
+    variant: np.ndarray
+    repeat: np.ndarray
+    out_bytes: np.ndarray
+    time_s: np.ndarray
+
+
+# One op table per trace, keyed weakly and guarded on the event count
+# like the fold factors: the planner prices one trace at every TP degree.
+_OP_TABLE_CACHE: "weakref.WeakKeyDictionary[Trace, TPOpTable]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def tp_op_table(trace: Trace) -> TPOpTable:
+    """The :class:`TPOpTable` of ``trace``, cached per trace object."""
+    table = _OP_TABLE_CACHE.get(trace)
+    if table is None or len(table.variant) != len(trace.events):
+        table = _build_op_table(trace)
+        _OP_TABLE_CACHE[trace] = table
+    return table
+
+
+def _build_op_table(trace: Trace) -> TPOpTable:
+    """One pass over ``trace``, resolving roles as ``partition()`` does."""
+    leaf_roles = TensorParallel(1)._leaf_roles(trace)
+    variants: list[tuple[Op, ShardRole, CollectiveKind | None]] = []
+    # Same memo keys as partition(): weight ops per (op, leaf token),
+    # activation ops per op.
+    param_index: dict[int, int] = {}
+    activation_index: dict[int, int] = {}
+    has_params: dict[int, bool] = {}
+    variant: list[int] = []
+    for event in trace.events:
+        op = event.op
+        op_id = id(op)
+        owns = has_params.get(op_id)
+        if owns is None:
+            owns = op.param_bytes() > 0
+            has_params[op_id] = owns
+        if owns:
+            role, kind, token = leaf_roles[event.module_path]
+            memo, key = param_index, op_id * 32 + token
+        else:
+            memo, key = activation_index, op_id
+        index = memo.get(key)
+        if index is None:
+            if not owns:
+                role, kind = TensorParallel.activation_role(op), None
+            index = len(variants)
+            variants.append((op, role, kind))
+            memo[key] = index
+        variant.append(index)
+    n = len(variant)
+    variant_col = np.array(variant, dtype=np.intp)
+    write = np.array(
+        [op.write_bytes() for op, _, _ in variants], dtype=np.float64
+    )
+    columns = (
+        variant_col,
+        np.array(trace_repeats(trace), dtype=np.intp),
+        write[variant_col],
+        np.fromiter(
+            (event.cost.time_s for event in trace.events),
+            dtype=np.float64, count=n,
+        ),
+    )
+    for column in columns:
+        column.flags.writeable = False
+    return TPOpTable(tuple(variants), *columns)
 
 
 class DataParallel(PartitionStrategy):

@@ -15,9 +15,12 @@ space automatically:
    size) and then every (pp, dp, m, sp) combination is costed from the
    prefix arrays as a per-config delta: stage sums, point-to-point
    boundary transfers, pipeline wavefronts.  No re-partition, no
-   re-pricing.  :func:`bruteforce_cost` is the slow path that rebuilds
-   the axis from a fresh partition per config; the property suite
-   pins both paths to identical floats.
+   re-pricing.  The axis itself prices each distinct (op, role,
+   collective) variant of the trace once and expands it to events with
+   numpy gathers.  :func:`bruteforce_cost` is the slow path that
+   rebuilds the axis per config with the retained per-event reference
+   (a fresh partition, one pricing per event) and the scalar stage
+   splitter; the property suite pins both paths to identical floats.
 3. Pipeline behaviour comes from :mod:`repro.distributed.schedule`
    (GPipe vs 1F1B with explicit bubble accounting) for training and
    the forward wavefront for serving latency.
@@ -41,10 +44,13 @@ See ``docs/PLANNER.md`` for the model and its divergences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
-from repro.distributed.collectives import CollectiveKind
-from repro.distributed.partition import TensorParallel
+import numpy as np
+
+from repro.distributed.collectives import CollectiveCostModel, CollectiveKind
+from repro.distributed.partition import TensorParallel, tp_op_table
 from repro.distributed.registry import MachineSpec, machine_from_name
 from repro.distributed.schedule import (
     ScheduleResult,
@@ -52,7 +58,7 @@ from repro.distributed.schedule import (
     simulate_1f1b,
     simulate_gpipe,
 )
-from repro.distributed.sharding import even_split
+from repro.distributed.sharding import ShardRole, even_split, shard_op
 from repro.ir.context import AttentionImpl
 from repro.ir.module import Module
 from repro.ir.trace import Trace
@@ -133,6 +139,14 @@ def enumerate_configs(
         raise ValueError("gpu_budget must be >= 1")
     if global_batch < 1:
         raise ValueError("global_batch must be >= 1")
+    # An empty or invalid option list would silently drop every config
+    # on that axis (all tp > 1, or all pp > 1) from the search.
+    if not microbatches:
+        raise ValueError("microbatches must not be empty")
+    if any(m < 1 for m in microbatches):
+        raise ValueError("microbatches must all be >= 1")
+    if not sequence_parallel:
+        raise ValueError("sequence_parallel must not be empty")
     configs: list[ParallelConfig] = []
     for tp in _powers_of_two(gpu_budget):
         for pp in _powers_of_two(gpu_budget // tp):
@@ -166,7 +180,8 @@ def enumerate_configs(
 class TPAxis:
     """Symbolic cost basis of one (tp degree, microbatch size) pair.
 
-    Per-event arrays over the profiled trace, all fold factors applied:
+    Per-event ``float64`` arrays over the profiled trace, all fold
+    factors applied:
 
     * ``times[i]`` — rank 0's kernel time for event ``i`` (rank 0 holds
       the largest shard, hence the critical path);
@@ -177,16 +192,20 @@ class TPAxis:
       contiguous stage's wall time is one subtraction;
     * ``out_bytes[i]`` — the unsharded activation each event writes
       (pipeline boundary payloads).
+
+    The arrays may be shared between axes and must not be mutated.
+    Values read off them are converted with ``float()`` before they
+    reach a :class:`PlanPoint`.
     """
 
     tp: int
     batch: int
-    times: list[float]
-    comm: list[float]
-    comm_sp: list[float]
-    acc: list[float]
-    acc_sp: list[float]
-    out_bytes: list[float]
+    times: np.ndarray
+    comm: np.ndarray
+    comm_sp: np.ndarray
+    acc: np.ndarray
+    acc_sp: np.ndarray
+    out_bytes: np.ndarray
     act_peak_shard: float
     max_comm_payload: float
 
@@ -196,12 +215,45 @@ class TPAxis:
     @property
     def total_s(self) -> float:
         """Whole-trace wall time at this tp degree (pp = 1)."""
-        return self.acc[-1]
+        return float(self.acc[-1])
 
-    @property
+    @cached_property
     def comm_total_s(self) -> float:
         """Collective time summed over the trace (plain variant)."""
-        return sum(self.comm)
+        return _sequential_total(self.comm)
+
+    @cached_property
+    def comm_sp_total_s(self) -> float:
+        """Collective time summed over the trace (sequence-parallel)."""
+        return _sequential_total(self.comm_sp)
+
+
+def _sequential_total(values: np.ndarray) -> float:
+    """Sum added strictly left to right, like the builtin ``sum``.
+
+    ``np.sum`` adds pairwise and rounds differently; ``np.cumsum``
+    (``np.add.accumulate``) adds in sequence.
+    """
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _prefix(times: np.ndarray, comm: np.ndarray) -> np.ndarray:
+    """``acc[i+1] = acc[i] + times[i] + comm[i]``, added in that order.
+
+    One sequential ``np.cumsum`` over the interleaved
+    ``[t0, c0, t1, c1, ...]`` column performs exactly the additions of
+    ``run += t; run += c`` — time first, then the collective, the order
+    :func:`repro.distributed.timeline.build_timelines` advances the
+    clocks in — so the prefix is bit-identical to the scalar loop.
+    """
+    n = len(times)
+    steps = np.empty(2 * n)
+    steps[0::2] = times
+    steps[1::2] = comm
+    acc = np.empty(n + 1)
+    acc[0] = 0.0
+    acc[1:] = np.cumsum(steps)[1::2]
+    return acc
 
 
 def build_axis(
@@ -212,13 +264,120 @@ def build_axis(
     tuning: TuningConstants = DEFAULT_TUNING,
     batch: int = 1,
 ) -> TPAxis:
-    """Partition + price one tensor-parallel axis over ``trace``.
+    """Shard + price one tensor-parallel axis over ``trace``.
 
-    This is the only place the planner touches the partitioner and the
-    kernel estimator; everything downstream works on the arrays.  For
-    ``tp == 1`` the profiled event costs are taken verbatim — no
-    re-pricing — which is what makes the degenerate config reproduce
-    the single-device trace byte-identically.
+    This is the only place the planner touches the sharding rules and
+    the kernel estimator; everything downstream works on the arrays.
+    Each distinct variant of the trace's
+    :func:`~repro.distributed.partition.tp_op_table` is sharded and
+    priced once — rank 0's kernel time, the plain and sequence-parallel
+    collective times, its transient bytes and payload — and expanded to
+    events with gathers scaled by the fold factor.  For ``tp == 1`` the
+    profiled event costs are taken verbatim — no re-pricing — which is
+    what makes the degenerate config reproduce the single-device trace
+    byte-identically.
+    """
+    table = tp_op_table(trace)
+    act_peak = 0.0
+    max_payload = 0.0
+    if tp == 1:
+        times = table.time_s
+        comm = comm_sp = np.zeros(len(times))
+        for op, _, _ in table.variants:
+            transient = op.read_bytes() + op.write_bytes()
+            if transient > act_peak:
+                act_peak = transient
+    else:
+        count = len(table.variants)
+        v_time = np.zeros(count)
+        v_comm = np.zeros(count)
+        v_comm_sp = np.zeros(count)
+        weights = [1] * tp
+        estimator = CachingCostEstimator(machine.gpu, tuning)
+        comm_model = machine.topology.cost_model(tp)
+        # Rank 0's shard per (op, role), as partition() caches shards:
+        # variants that differ only in their collective share a pricing
+        # (and the kernel-cost lookup count stays per shard).
+        shard_memo: dict[tuple[int, ShardRole], tuple[float, float]] = {}
+        for index, (op, role, kind) in enumerate(table.variants):
+            key = (id(op), role)
+            priced = shard_memo.get(key)
+            if priced is None:
+                op0 = shard_op(op, role, weights)[0]
+                if op0 is None:
+                    priced = (0.0, 0.0)
+                else:
+                    priced = (
+                        estimator.estimate(op0).time_s,
+                        op0.read_bytes() + op0.write_bytes(),
+                    )
+                shard_memo[key] = priced
+            v_time[index], transient = priced
+            if transient > act_peak:
+                act_peak = transient
+            if kind is None:
+                continue
+            payload = op.write_bytes()
+            plain, sp_s = _collective_times(comm_model, kind, payload, tp)
+            v_comm[index] = plain
+            v_comm_sp[index] = sp_s
+            if payload > max_payload:
+                max_payload = payload
+        variant = table.variant
+        repeat = table.repeat
+        # x * 1 == x exactly, so one product matches the per-event
+        # ``base_s * repeat if repeat != 1 else base_s``.
+        times = v_time[variant] * repeat
+        comm = v_comm[variant] * repeat
+        comm_sp = v_comm_sp[variant] * repeat
+    acc = _prefix(times, comm)
+    return TPAxis(
+        tp=tp,
+        batch=batch,
+        times=times,
+        comm=comm,
+        comm_sp=comm_sp,
+        acc=acc,
+        acc_sp=acc if comm_sp is comm else _prefix(times, comm_sp),
+        out_bytes=table.out_bytes,
+        act_peak_shard=float(act_peak),
+        max_comm_payload=float(max_payload),
+    )
+
+
+def _collective_times(
+    comm_model: CollectiveCostModel,
+    kind: CollectiveKind,
+    payload: float,
+    tp: int,
+) -> tuple[float, float]:
+    """Plain and sequence-parallel time of one collective issue."""
+    plain = comm_model.estimate(kind, payload, tp).time_s
+    if kind is CollectiveKind.ALL_REDUCE:
+        # Sequence parallelism replaces the all-reduce with
+        # reduce-scatter + all-gather around the sharded activation
+        # region.
+        return plain, (
+            comm_model.reduce_scatter(payload, tp).time_s
+            + comm_model.all_gather(payload, tp).time_s
+        )
+    return plain, plain
+
+
+def _reference_axis(
+    trace: Trace,
+    tp: int,
+    machine: MachineSpec,
+    *,
+    tuning: TuningConstants = DEFAULT_TUNING,
+    batch: int = 1,
+) -> TPAxis:
+    """Per-event reference for :func:`build_axis` (tests only).
+
+    Partitions the trace with :meth:`TensorParallel.partition` and
+    prices it one event at a time with a scalar running prefix — the
+    planner's original axis builder, kept so :func:`bruteforce_cost`
+    checks the columnar path against independent code.
     """
     n = len(trace.events)
     times: list[float] = []
@@ -266,24 +425,9 @@ def build_axis(
             else:
                 entry = comm_memo.get(id(spec))
                 if entry is None:
-                    plain = comm_model.estimate(
-                        spec.kind, spec.payload_bytes, tp
-                    ).time_s
-                    if spec.kind is CollectiveKind.ALL_REDUCE:
-                        # Sequence parallelism replaces the all-reduce
-                        # with reduce-scatter + all-gather around the
-                        # sharded activation region.
-                        sp_s = (
-                            comm_model.reduce_scatter(
-                                spec.payload_bytes, tp
-                            ).time_s
-                            + comm_model.all_gather(
-                                spec.payload_bytes, tp
-                            ).time_s
-                        )
-                    else:
-                        sp_s = plain
-                    entry = (plain, sp_s)
+                    entry = _collective_times(
+                        comm_model, spec.kind, spec.payload_bytes, tp
+                    )
                     comm_memo[id(spec)] = entry
                 comm.append(entry[0] * repeat)
                 comm_sp.append(entry[1] * repeat)
@@ -304,14 +448,14 @@ def build_axis(
     return TPAxis(
         tp=tp,
         batch=batch,
-        times=times,
-        comm=comm,
-        comm_sp=comm_sp,
-        acc=acc,
-        acc_sp=acc_sp,
-        out_bytes=out_bytes,
-        act_peak_shard=act_peak,
-        max_comm_payload=max_payload,
+        times=np.array(times, dtype=np.float64),
+        comm=np.array(comm, dtype=np.float64),
+        comm_sp=np.array(comm_sp, dtype=np.float64),
+        acc=np.array(acc, dtype=np.float64),
+        acc_sp=np.array(acc_sp, dtype=np.float64),
+        out_bytes=np.array(out_bytes, dtype=np.float64),
+        act_peak_shard=float(act_peak),
+        max_comm_payload=float(max_payload),
     )
 
 
@@ -320,9 +464,38 @@ def stage_boundaries(weights: Sequence[float], stages: int) -> list[int]:
 
     Same greedy proportional-share rule as
     :meth:`repro.distributed.partition.PipelineParallel._stage_boundaries`,
-    applied to the axis' per-event wall times; every stage is guaranteed
-    at least one event (callers must ensure ``stages <= len(weights)``).
+    applied to non-negative per-event wall times (callers must ensure
+    ``stages <= len(weights)``).  The running sum is one sequential
+    ``np.cumsum``, so it is non-decreasing and each stage closes at the
+    first event whose running sum reaches its target — one
+    ``searchsorted`` — or at the last index that leaves one event per
+    remaining stage, whichever comes first.  An event that crosses
+    several targets closes them all at once, leaving empty stages
+    between.  Identical to the scalar :func:`_reference_stage_boundaries`.
     """
+    cumulative = np.cumsum(np.asarray(weights, dtype=np.float64))
+    n = len(cumulative)
+    if stages > n:
+        raise ValueError("more stages than events")
+    # The builtin sum's value: it adds in the same order.
+    total = float(cumulative[-1]) if n else 0.0
+    boundaries: list[int] = []
+    index = 0
+    for target in range(1, stages):
+        reached = int(
+            np.searchsorted(cumulative, total * target / stages, "left")
+        )
+        # Last index that still leaves one event per remaining stage:
+        # close there at the latest (the forced close).
+        index = min(max(index, reached), n - 1 - (stages - target))
+        boundaries.append(index + 1)
+    return boundaries
+
+
+def _reference_stage_boundaries(
+    weights: Sequence[float], stages: int
+) -> list[int]:
+    """Scalar greedy loop :func:`stage_boundaries` must equal (tests only)."""
     n = len(weights)
     if stages > n:
         raise ValueError("more stages than events")
@@ -362,20 +535,31 @@ def split_stages(
     point-to-point transfer.  ``pp == 1`` returns the whole-trace total
     unchanged with a zero p2p — the degenerate-axis contract.
     """
+    return _split_stages(
+        axis, pp, sequence_parallel, machine, stage_boundaries
+    )
+
+
+def _split_stages(
+    axis: TPAxis,
+    pp: int,
+    sequence_parallel: bool,
+    machine: MachineSpec,
+    boundaries: Callable[[Sequence[float], int], list[int]],
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
     acc = axis.acc_sp if sequence_parallel else axis.acc
     if pp == 1:
-        return (acc[-1],), (0.0,)
-    weights = [acc[i + 1] - acc[i] for i in range(len(axis))]
-    bounds = stage_boundaries(weights, pp)
+        return (float(acc[-1]),), (0.0,)
+    bounds = boundaries(np.diff(acc), pp)
     starts = [0] + bounds
     ends = bounds + [len(axis)]
     p2p_model = machine.topology.cost_model(2)
     stage_times: list[float] = []
     p2p_times: list[float] = []
     for s in range(pp):
-        stage_times.append(acc[ends[s]] - acc[starts[s]])
+        stage_times.append(float(acc[ends[s]] - acc[starts[s]]))
         if s < pp - 1:
-            payload = axis.out_bytes[ends[s] - 1]
+            payload = float(axis.out_bytes[ends[s] - 1])
             if sequence_parallel:
                 # The boundary activation stays sharded 1/tp per rank.
                 payload = payload / axis.tp
@@ -467,14 +651,16 @@ def _compose_point(
         # activation a collective reconstitutes.
         activation += axis.max_comm_payload
     memory = param_bytes / shard + kv_bytes / shard + activation
-    comm = axis.comm_sp if config.sequence_parallel else axis.comm
     return PlanPoint(
         config=config,
         latency_s=latency,
         throughput_rps=throughput,
         per_gpu_rps=throughput / config.world,
         stage_times_s=forward,
-        tp_comm_s=sum(comm),
+        tp_comm_s=(
+            axis.comm_sp_total_s if config.sequence_parallel
+            else axis.comm_total_s
+        ),
         p2p_s=sum(p2p_times),
         bubble_fraction=bubble,
         gpipe=gpipe,
@@ -670,8 +856,10 @@ def bruteforce_cost(
     """Cost one config by fully re-partitioning and re-pricing the trace.
 
     The reference the symbolic-delta path is validated against: a fresh
-    :func:`build_axis` per call (re-partition + kernel/collective
-    re-pricing, no axis or stage-split reuse) composed through the same
+    per-event :func:`_reference_axis` per call (re-partition + one
+    kernel/collective pricing per event, scalar prefix, no axis or
+    stage-split reuse), split by the scalar
+    :func:`_reference_stage_boundaries` and composed through the same
     pure :func:`_compose_point`.  The property suite asserts the
     resulting :class:`PlanPoint` floats are *identical* to
     :meth:`PlannerBasis.cost_config`'s.
@@ -679,7 +867,7 @@ def bruteforce_cost(
     replica_batch = even_split(global_batch, config.dp)[0]
     m_eff = min(config.microbatches, replica_batch)
     mb = even_split(replica_batch, m_eff)[0]
-    axis = build_axis(
+    axis = _reference_axis(
         basis.trace(mb), config.tp, basis.machine,
         tuning=basis.tuning, batch=mb,
     )
@@ -687,8 +875,9 @@ def bruteforce_cost(
         raise ValueError(
             f"pp={config.pp} exceeds the trace's {len(axis)} events"
         )
-    stage_times, p2p_times = split_stages(
-        axis, config.pp, config.sequence_parallel, basis.machine
+    stage_times, p2p_times = _split_stages(
+        axis, config.pp, config.sequence_parallel, basis.machine,
+        _reference_stage_boundaries,
     )
     return _compose_point(
         axis, stage_times, p2p_times, m_eff, mb, config,

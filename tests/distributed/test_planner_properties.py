@@ -8,20 +8,27 @@ whole search space.  The rest of the suite pins the search contract:
 determinism across fresh bases, memory caps respected under any margin,
 the Pareto frontier exactly the non-dominated set, and the degenerate
 tp=1/pp=1 axes reproducing single- and multi-device timeline traces
-bit-exactly.
+bit-exactly.  The columnar axis builder and stage splitter are also
+checked directly against their retained per-event references.
 """
 
 import dataclasses
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed.partition import TensorParallel
+from repro.distributed.collectives import CollectiveKind
+from repro.distributed.partition import TensorParallel, tp_op_table
 from repro.distributed.planner import (
     ParallelConfig,
     PlannerBasis,
+    _reference_axis,
+    _reference_stage_boundaries,
     bruteforce_cost,
+    build_axis,
     enumerate_configs,
     pareto_frontier,
     plan_parallelism,
@@ -42,7 +49,10 @@ class TinyTransformer(Module):
 
     Mirrors the suite models' structure (attention anchor flags, leaf
     scopes for the Megatron column/row assignment) at toy dimensions so
-    property tests can afford hundreds of planner costings.
+    property tests can afford hundreds of planner costings.  Its head is
+    a folded loop (fold factor 3) over a scope with three weight layers,
+    so the traces carry repeats above 1 and an all-gathered column
+    layer as well as all-reduces.
     """
 
     def __init__(self, blocks: int = 3):
@@ -51,7 +61,8 @@ class TinyTransformer(Module):
 
     def own_param_count(self) -> int:
         per_block = 256 * 768 + 256 * 256 + 256 * 1024 + 1024 * 256
-        return self.blocks * per_block
+        head = 256 * 512 + 512 * 256 + 256 * 256
+        return self.blocks * per_block + head
 
     def run_inference(self, ctx: ExecutionContext, batch: int = 1) -> None:
         m = 64 * batch
@@ -85,6 +96,16 @@ class TinyTransformer(Module):
                             "fc2", m=m, n=256, k=1024, b_is_weight=True,
                         ))
                 ctx.emit(Elementwise("residual", numel=m * 256))
+        with ctx.named_scope("head"), ctx.repeat_scope(3):
+            # Column, row (all-reduce), column: the odd layer out keeps
+            # its column split and is all-gathered.
+            with ctx.named_scope("fc_a"):
+                ctx.emit(Gemm("head_a", m=m, n=512, k=256, b_is_weight=True))
+            with ctx.named_scope("fc_b"):
+                ctx.emit(Gemm("head_b", m=m, n=256, k=512, b_is_weight=True))
+            with ctx.named_scope("fc_c"):
+                ctx.emit(Gemm("head_c", m=m, n=256, k=256, b_is_weight=True))
+            ctx.emit(Elementwise("head_act", numel=m * 256))
 
 
 MODEL = TinyTransformer()
@@ -120,6 +141,56 @@ class TestSymbolicEqualsBruteforce:
             backward_ratio=backward_ratio,
         )
         assert symbolic == brute
+
+
+class TestColumnarAxis:
+    """The columnar builders equal their per-event references bit for bit."""
+
+    def test_tiny_model_exercises_folds_and_all_gathers(self):
+        table = tp_op_table(BASIS.trace(1))
+        assert table.repeat.max() == 3
+        kinds = {kind for _, _, kind in table.variants}
+        assert CollectiveKind.ALL_GATHER in kinds
+        assert CollectiveKind.ALL_REDUCE in kinds
+
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    @pytest.mark.parametrize("tp", [1, 2, 4, 8])
+    def test_axis_matches_the_per_event_reference(self, tp, batch):
+        trace = BASIS.trace(batch)
+        axis = build_axis(trace, tp, MACHINE, batch=batch)
+        reference = _reference_axis(trace, tp, MACHINE, batch=batch)
+        for name in ("times", "comm", "comm_sp", "acc", "acc_sp",
+                     "out_bytes"):
+            column = getattr(axis, name)
+            assert column.dtype == np.float64
+            assert column.tobytes() == getattr(reference, name).tobytes()
+        assert axis.act_peak_shard == reference.act_peak_shard
+        assert axis.max_comm_payload == reference.max_comm_payload
+        # Totals add left to right, exactly like the builtin sum.
+        assert axis.comm_total_s == sum(reference.comm.tolist())
+        assert axis.comm_sp_total_s == sum(reference.comm_sp.tolist())
+        assert type(axis.total_s) is float
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_stage_boundaries_match_the_scalar_loop(self, data):
+        weight = st.one_of(
+            st.just(0.0),
+            st.sampled_from((0.5, 1.0, 3.0)),  # ties
+            st.floats(min_value=0.0, max_value=1e6),
+        )
+        weights = data.draw(st.lists(weight, min_size=1, max_size=40))
+        if data.draw(st.booleans()):
+            # Back-loaded: the targets are missed until the end, so the
+            # forced close decides every boundary.
+            weights = [0.0] * len(weights) + weights[-1:]
+        n = len(weights)
+        stages = data.draw(st.one_of(
+            st.just(n), st.integers(min_value=1, max_value=n)
+        ))
+        assert stage_boundaries(weights, stages) == (
+            _reference_stage_boundaries(weights, stages)
+        )
 
 
 class TestDeterminism:
@@ -319,6 +390,19 @@ class TestEnumeration:
             ParallelConfig(microbatches=0)
         with pytest.raises(ValueError):
             ParallelConfig(tp=1, sequence_parallel=True)
+        # An empty or invalid option list must not silently drop the
+        # tp > 1 or pp > 1 half of the search.
+        for kwargs in (
+            {"sequence_parallel": ()},
+            {"microbatches": ()},
+            {"microbatches": (0, -3)},
+            {"microbatches": (1, 0)},
+        ):
+            (name,) = kwargs
+            with pytest.raises(ValueError, match=name):
+                enumerate_configs(**kwargs)
+            with pytest.raises(ValueError, match=name):
+                plan_parallelism(MODEL, machine=MACHINE, **kwargs)
 
     def test_labels_are_compact_and_unique(self):
         labels = [c.label for c in CONFIGS]

@@ -372,12 +372,12 @@ def _reference_axis(
     tuning: TuningConstants = DEFAULT_TUNING,
     batch: int = 1,
 ) -> TPAxis:
-    """Per-event reference for :func:`build_axis` (tests only).
+    """Per-event reference for :func:`build_axis`.
 
     Partitions the trace with :meth:`TensorParallel.partition` and
-    prices it one event at a time with a scalar running prefix — the
-    planner's original axis builder, kept so :func:`bruteforce_cost`
-    checks the columnar path against independent code.
+    prices it one event at a time with a scalar running prefix, so
+    :func:`bruteforce_cost` checks the columnar path against
+    independent code.
     """
     n = len(trace.events)
     times: list[float] = []
@@ -495,7 +495,7 @@ def stage_boundaries(weights: Sequence[float], stages: int) -> list[int]:
 def _reference_stage_boundaries(
     weights: Sequence[float], stages: int
 ) -> list[int]:
-    """Scalar greedy loop :func:`stage_boundaries` must equal (tests only)."""
+    """Scalar greedy loop :func:`stage_boundaries` must equal."""
     n = len(weights)
     if stages > n:
         raise ValueError("more stages than events")

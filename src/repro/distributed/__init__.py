@@ -56,10 +56,8 @@ from repro.distributed.partition import (
     PipelineParallel,
     ShardedEvent,
     TensorParallel,
-    TPOpTable,
     event_repeat,
     strategy_from_name,
-    tp_op_table,
     trace_repeats,
 )
 from repro.distributed.planner import (
@@ -151,7 +149,6 @@ __all__ = [
     "ShardRole",
     "ShardedEvent",
     "TPAxis",
-    "TPOpTable",
     "TensorParallel",
     "TimelineEntry",
     "Topology",
@@ -163,7 +160,6 @@ __all__ = [
     "event_repeat",
     "forward_makespan",
     "ideal_bubble_fraction",
-    "tp_op_table",
     "trace_repeats",
     "machine_from_name",
     "machine_names",

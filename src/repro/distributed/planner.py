@@ -220,21 +220,24 @@ class TPAxis:
     @cached_property
     def comm_total_s(self) -> float:
         """Collective time summed over the trace (plain variant)."""
-        return _sequential_total(self.comm)
+        return _float_sum(self.comm)
 
     @cached_property
     def comm_sp_total_s(self) -> float:
         """Collective time summed over the trace (sequence-parallel)."""
-        return _sequential_total(self.comm_sp)
+        return _float_sum(self.comm_sp)
 
 
-def _sequential_total(values: np.ndarray) -> float:
-    """Sum added strictly left to right, like the builtin ``sum``.
+def _float_sum(values: np.ndarray) -> float:
+    """The builtin ``sum`` over ``values`` as Python floats.
 
-    ``np.sum`` adds pairwise and rounds differently; ``np.cumsum``
-    (``np.add.accumulate``) adds in sequence.
+    It equals the builtin sum of the per-event floats on every Python
+    version: the builtin adds Python floats with compensated summation
+    from 3.12 on (plain left-to-right adds before), while ``np.sum``
+    adds pairwise and ``np.cumsum`` never compensates, so either would
+    move the last bits on some version.
     """
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+    return sum(values.tolist())
 
 
 def _prefix(times: np.ndarray, comm: np.ndarray) -> np.ndarray:
@@ -466,19 +469,23 @@ def stage_boundaries(weights: Sequence[float], stages: int) -> list[int]:
     :meth:`repro.distributed.partition.PipelineParallel._stage_boundaries`,
     applied to non-negative per-event wall times (callers must ensure
     ``stages <= len(weights)``).  The running sum is one sequential
-    ``np.cumsum``, so it is non-decreasing and each stage closes at the
-    first event whose running sum reaches its target — one
-    ``searchsorted`` — or at the last index that leaves one event per
-    remaining stage, whichever comes first.  An event that crosses
-    several targets closes them all at once, leaving empty stages
-    between.  Identical to the scalar :func:`_reference_stage_boundaries`.
+    ``np.cumsum``, the scalar loop's ``cumulative += w``, so it is
+    non-decreasing: each stage closes at the first event whose running
+    sum reaches its target (one ``searchsorted``) or at the last index
+    that leaves one event per remaining stage, whichever comes first.
+    The targets are shares of the builtin ``sum`` of the weights as
+    Python floats, as in the scalar loop; from Python 3.12 on that sum
+    is compensated and may differ from the running sum's last element.
+    An event that crosses several targets closes them all at once,
+    leaving empty stages between.  Identical to the scalar
+    :func:`_reference_stage_boundaries`.
     """
-    cumulative = np.cumsum(np.asarray(weights, dtype=np.float64))
+    values = np.asarray(weights, dtype=np.float64)
+    cumulative = np.cumsum(values)
     n = len(cumulative)
     if stages > n:
         raise ValueError("more stages than events")
-    # The builtin sum's value: it adds in the same order.
-    total = float(cumulative[-1]) if n else 0.0
+    total = _float_sum(values)
     boundaries: list[int] = []
     index = 0
     for target in range(1, stages):
@@ -499,7 +506,9 @@ def _reference_stage_boundaries(
     n = len(weights)
     if stages > n:
         raise ValueError("more stages than events")
-    total = sum(weights)
+    # Python floats, whatever the sequence holds: the builtin sum of
+    # numpy scalars never takes the float path that compensates.
+    total = sum([float(w) for w in weights])
     boundaries: list[int] = []
     cumulative = 0.0
     target = 1

@@ -13,6 +13,7 @@ checked directly against their retained per-event references.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distributed.collectives import CollectiveKind
+from repro.distributed import planner
 from repro.distributed.partition import TensorParallel, tp_op_table
 from repro.distributed.planner import (
     ParallelConfig,
@@ -166,7 +168,8 @@ class TestColumnarAxis:
             assert column.tobytes() == getattr(reference, name).tobytes()
         assert axis.act_peak_shard == reference.act_peak_shard
         assert axis.max_comm_payload == reference.max_comm_payload
-        # Totals add left to right, exactly like the builtin sum.
+        # Totals are the builtin sum over Python floats, the per-event
+        # planner's total on every Python version.
         assert axis.comm_total_s == sum(reference.comm.tolist())
         assert axis.comm_sp_total_s == sum(reference.comm_sp.tolist())
         assert type(axis.total_s) is float
@@ -191,6 +194,25 @@ class TestColumnarAxis:
         assert stage_boundaries(weights, stages) == (
             _reference_stage_boundaries(weights, stages)
         )
+
+    def test_stage_targets_follow_the_builtin_float_sum(self, monkeypatch):
+        # Two stages: the target is half the total.  A plain
+        # left-to-right sum drops every 1e-16, so the first event meets
+        # it; a compensated sum (the builtin's from Python 3.12 on) keeps
+        # them, and the target moves past the first event.
+        weights = [1.0, 1.0] + [1e-16] * 10
+
+        def left_to_right(values):
+            total = 0.0
+            for value in values:
+                total += value
+            return total
+
+        for total, expected in ((left_to_right, [1]), (math.fsum, [2])):
+            monkeypatch.setattr(planner, "sum", total, raising=False)
+            assert stage_boundaries(weights, 2) == expected
+            assert _reference_stage_boundaries(weights, 2) == expected
+            assert stage_boundaries(np.array(weights), 2) == expected
 
 
 class TestDeterminism:

@@ -1,9 +1,9 @@
 """Versioned, byte-deterministic JSONL telemetry traces.
 
-Same canonical-bytes discipline as the traffic-trace format
-(:mod:`repro.serving.traffic`): every line is one JSON record with
-sorted keys and compact separators, line 1 is a header carrying the
-schema id, version and record counts, and
+The canonical-JSONL framing of :mod:`repro.jsonl`, shared with
+traffic traces and chaos campaigns: every line is one JSON record
+with sorted keys and compact separators, line 1 is a header carrying
+the schema id, version and record counts, and
 ``dumps -> loads -> dumps`` is a byte identity.  A telemetry file is
 therefore diffable, hashable and CI-gateable —
 ``tools/check_telemetry_schema.py`` validates the format
@@ -25,9 +25,10 @@ Record kinds, in file order:
 
 from __future__ import annotations
 
-import json
+import itertools
 from pathlib import Path
 
+from repro import jsonl
 from repro.obs.metrics import HistogramSeries, MetricSeries
 from repro.obs.spans import RequestSpan, SpanEvent
 from repro.obs.telemetry import FleetEvent, TelemetryLog
@@ -38,10 +39,17 @@ TELEMETRY_SCHEMA = "repro-telemetry"
 TELEMETRY_VERSION = 1
 """Current telemetry format version."""
 
+_COUNTS = (
+    ("span", "num_spans"), ("event", "num_events"),
+    ("series", "num_series"), ("histogram", "num_histograms"),
+)
 
-def _canonical(obj: object) -> str:
-    """One canonical JSON line: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+def _attrs(value: object) -> dict:
+    """An event's ``attrs``, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"attrs {value!r} is not an object")
+    return value
 
 
 def dumps_telemetry(log: TelemetryLog) -> str:
@@ -52,10 +60,7 @@ def dumps_telemetry(log: TelemetryLog) -> str:
     produces the same string in any process — pinned by a subprocess
     determinism test.
     """
-    lines = [_canonical({
-        "kind": "header",
-        "schema": TELEMETRY_SCHEMA,
-        "version": TELEMETRY_VERSION,
+    header = {
         "sample_interval_s": log.sample_interval_s,
         "makespan_s": log.makespan_s,
         "pools": list(log.pools),
@@ -65,41 +70,33 @@ def dumps_telemetry(log: TelemetryLog) -> str:
         "num_series": len(log.series),
         "num_histograms": len(log.histograms),
         "meta": dict(log.meta),
-    })]
-    for span in log.spans:
-        lines.append(_canonical({
-            "kind": "span",
-            "request": span.request_id,
-            "model": span.model,
-            "events": [
-                [event.ts_s, event.state, dict(event.attrs)]
-                for event in span.events
-            ],
-        }))
-    for event in log.events:
-        lines.append(_canonical({
-            "kind": "event",
-            "ts_s": event.ts_s,
-            "event": event.kind,
-            "attrs": dict(event.attrs),
-        }))
-    for series in log.series:
-        lines.append(_canonical({
-            "kind": "series",
-            "name": series.name,
-            "metric": series.kind,
-            "times": list(series.times),
-            "values": list(series.values),
-        }))
-    for histogram in log.histograms:
-        lines.append(_canonical({
-            "kind": "histogram",
-            "name": histogram.name,
-            "edges": list(histogram.edges),
-            "times": list(histogram.times),
-            "counts": [list(row) for row in histogram.counts],
-        }))
-    return "\n".join(lines) + "\n"
+    }
+    spans = (
+        {"kind": "span", "request": span.request_id, "model": span.model,
+         "events": [[event.ts_s, event.state, dict(event.attrs)]
+                    for event in span.events]}
+        for span in log.spans
+    )
+    events = (
+        {"kind": "event", "ts_s": event.ts_s, "event": event.kind,
+         "attrs": dict(event.attrs)}
+        for event in log.events
+    )
+    series = (
+        {"kind": "series", "name": metric.name, "metric": metric.kind,
+         "times": list(metric.times), "values": list(metric.values)}
+        for metric in log.series
+    )
+    histograms = (
+        {"kind": "histogram", "name": histogram.name,
+         "edges": list(histogram.edges), "times": list(histogram.times),
+         "counts": [list(row) for row in histogram.counts]}
+        for histogram in log.histograms
+    )
+    return jsonl.dumps(
+        TELEMETRY_SCHEMA, TELEMETRY_VERSION, header,
+        itertools.chain(spans, events, series, histograms),
+    )
 
 
 def loads_telemetry(text: str) -> TelemetryLog:
@@ -107,88 +104,77 @@ def loads_telemetry(text: str) -> TelemetryLog:
 
     Validates the header contract (schema id, version, record
     counts); ``dumps_telemetry(loads_telemetry(s)) == s`` for any
-    string this module wrote.
+    string this module wrote.  Malformed input raises a
+    ``ValueError`` naming the line (see :func:`repro.jsonl.loads`).
     """
-    lines = [line for line in text.splitlines() if line]
-    if not lines:
-        raise ValueError("empty telemetry file")
-    header = json.loads(lines[0])
-    if header.get("kind") != "header":
-        raise ValueError("first telemetry record must be the header")
-    if header.get("schema") != TELEMETRY_SCHEMA:
-        raise ValueError(
-            f"unknown telemetry schema {header.get('schema')!r}"
-        )
-    if header.get("version") != TELEMETRY_VERSION:
-        raise ValueError(
-            f"unsupported telemetry version "
-            f"{header.get('version')!r} (expected "
-            f"{TELEMETRY_VERSION})"
-        )
+    head: dict = {}
+    promised: list = []
     spans: list[RequestSpan] = []
     events: list[FleetEvent] = []
     series: list[MetricSeries] = []
     histograms: list[HistogramSeries] = []
-    for line in lines[1:]:
-        record = json.loads(line)
-        kind = record.get("kind")
-        if kind == "span":
-            spans.append(RequestSpan(
-                request_id=int(record["request"]),
-                model=record["model"],
-                events=tuple(
-                    SpanEvent(float(ts), state, attrs)
-                    for ts, state, attrs in record["events"]
-                ),
-            ))
-        elif kind == "event":
-            events.append(FleetEvent(
-                ts_s=float(record["ts_s"]),
-                kind=record["event"],
-                attrs=record["attrs"],
-            ))
-        elif kind == "series":
-            series.append(MetricSeries(
-                name=record["name"],
-                kind=record["metric"],
-                times=tuple(float(t) for t in record["times"]),
-                values=tuple(float(v) for v in record["values"]),
-            ))
-        elif kind == "histogram":
-            histograms.append(HistogramSeries(
-                name=record["name"],
-                edges=tuple(float(e) for e in record["edges"]),
-                times=tuple(float(t) for t in record["times"]),
-                counts=tuple(
-                    tuple(int(c) for c in row)
-                    for row in record["counts"]
-                ),
-            ))
-        else:
-            raise ValueError(f"unknown record kind {kind!r}")
-    for label, got, want in (
-        ("span", len(spans), header["num_spans"]),
-        ("event", len(events), header["num_events"]),
-        ("series", len(series), header["num_series"]),
-        ("histogram", len(histograms), header["num_histograms"]),
-    ):
-        if got != want:
+
+    def header(record: dict) -> None:
+        head.update(
+            pools=tuple(record["pools"]),
+            server_pools=tuple(int(p) for p in record["server_pools"]),
+            sample_interval_s=float(record["sample_interval_s"]),
+            makespan_s=float(record["makespan_s"]),
+            meta=dict(record["meta"]),
+        )
+        promised.extend(record[field] for _, field in _COUNTS)
+
+    def span(record: dict) -> None:
+        spans.append(RequestSpan(
+            request_id=int(record["request"]),
+            model=record["model"],
+            events=tuple(
+                SpanEvent(float(ts), state, _attrs(attrs))
+                for ts, state, attrs in record["events"]
+            ),
+        ))
+
+    def event(record: dict) -> None:
+        events.append(FleetEvent(
+            ts_s=float(record["ts_s"]), kind=record["event"],
+            attrs=_attrs(record["attrs"]),
+        ))
+
+    def metric(record: dict) -> None:
+        series.append(MetricSeries(
+            name=record["name"],
+            kind=record["metric"],
+            times=tuple(float(t) for t in record["times"]),
+            values=tuple(float(v) for v in record["values"]),
+        ))
+
+    def histogram(record: dict) -> None:
+        histograms.append(HistogramSeries(
+            name=record["name"],
+            edges=tuple(float(e) for e in record["edges"]),
+            times=tuple(float(t) for t in record["times"]),
+            counts=tuple(
+                tuple(int(c) for c in row) for row in record["counts"]
+            ),
+        ))
+
+    jsonl.loads(text, TELEMETRY_SCHEMA, TELEMETRY_VERSION, {
+        "header": header, "span": span, "event": event,
+        "series": metric, "histogram": histogram,
+    })
+    found = (spans, events, series, histograms)
+    for (kind, _), want, got in zip(_COUNTS, promised, found):
+        if len(got) != want:
             raise ValueError(
-                f"header promised {want} {label} records, file has "
-                f"{got}"
+                f"line 1: header promised {want!r} {kind} records, "
+                f"file has {len(got)}"
             )
     return TelemetryLog(
-        pools=tuple(header["pools"]),
-        server_pools=tuple(
-            int(p) for p in header["server_pools"]
-        ),
-        sample_interval_s=float(header["sample_interval_s"]),
-        makespan_s=float(header["makespan_s"]),
         spans=tuple(spans),
         events=tuple(events),
         series=tuple(series),
         histograms=tuple(histograms),
-        meta=dict(header["meta"]),
+        **head,
     )
 
 

@@ -29,19 +29,19 @@ CATEGORY_LANES: dict[OpCategory, int] = {
 """Thread-lane id per operator category (enum declaration order)."""
 
 
-def to_chrome_trace(trace: Trace, *, process_name: str = "gpu") -> dict:
+def to_chrome_trace(trace: Trace) -> dict:
     """Serialize a trace as Chrome-trace JSON (complete 'X' events).
 
-    Each operator category gets its own named thread lane (see
-    :data:`CATEGORY_LANES`); lanes are declared only for categories the
-    trace actually contains.
+    The process is named ``gpu``.  Each operator category gets its
+    own named thread lane (see :data:`CATEGORY_LANES`); lanes are
+    declared only for categories the trace actually contains.
     """
     events: list[dict[str, Any]] = [
         {
-            "name": process_name,
+            "name": "process_name",
             "ph": "M",
             "pid": 0,
-            "args": {"name": process_name},
+            "args": {"name": "gpu"},
         }
     ]
     present = {event.category for event in trace}

@@ -30,12 +30,13 @@ CI chaos gate.
 
 from __future__ import annotations
 
-import json
+import itertools
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
+from repro import jsonl
 from repro.serving.columnar import _request_columns
 from repro.serving.domains import (
     CampaignEvent,
@@ -218,70 +219,36 @@ def generate_campaign(
 # -- serialization ----------------------------------------------------
 
 
-def _canonical(obj: object) -> str:
-    """Canonical JSON: sorted keys, compact separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_WINDOW = {"at_s": float, "duration_s": float}
+_EVENTS = {
+    "zone_outage": (ZoneOutage, {"zone": int, **_WINDOW, "stagger_s": float}),
+    "rack_outage": (RackOutage, {"rack": int, **_WINDOW, "stagger_s": float}),
+    "partition": (NetworkPartition, {"scope": str, "index": int, **_WINDOW}),
+    "degraded_link": (DegradedLink, {
+        "scope": str, "index": int, **_WINDOW,
+        "bandwidth_factor": float, "comm_fraction": float,
+    }),
+}
+"""On-wire event name -> (event class, field -> decoder), schema v1."""
+
+_EVENT_NAMES = {cls: name for name, (cls, _) in _EVENTS.items()}
 
 
 def _event_record(event: CampaignEvent) -> dict:
-    if isinstance(event, ZoneOutage):
-        return {
-            "kind": "event", "event": "zone_outage",
-            "zone": event.zone, "at_s": event.at_s,
-            "duration_s": event.duration_s,
-            "stagger_s": event.stagger_s,
-        }
-    if isinstance(event, RackOutage):
-        return {
-            "kind": "event", "event": "rack_outage",
-            "rack": event.rack, "at_s": event.at_s,
-            "duration_s": event.duration_s,
-            "stagger_s": event.stagger_s,
-        }
-    if isinstance(event, NetworkPartition):
-        return {
-            "kind": "event", "event": "partition",
-            "scope": event.scope, "index": event.index,
-            "at_s": event.at_s, "duration_s": event.duration_s,
-        }
-    return {
-        "kind": "event", "event": "degraded_link",
-        "scope": event.scope, "index": event.index,
-        "at_s": event.at_s, "duration_s": event.duration_s,
-        "bandwidth_factor": event.bandwidth_factor,
-        "comm_fraction": event.comm_fraction,
-    }
+    name = _EVENT_NAMES[type(event)]
+    return {"kind": "event", "event": name, **{
+        field: getattr(event, field) for field in _EVENTS[name][1]
+    }}
 
 
 def _event_from_record(record: dict) -> CampaignEvent:
-    name = record.get("event")
-    if name == "zone_outage":
-        return ZoneOutage(
-            zone=int(record["zone"]), at_s=float(record["at_s"]),
-            duration_s=float(record["duration_s"]),
-            stagger_s=float(record.get("stagger_s", 0.0)),
-        )
-    if name == "rack_outage":
-        return RackOutage(
-            rack=int(record["rack"]), at_s=float(record["at_s"]),
-            duration_s=float(record["duration_s"]),
-            stagger_s=float(record.get("stagger_s", 0.0)),
-        )
-    if name == "partition":
-        return NetworkPartition(
-            scope=str(record["scope"]), index=int(record["index"]),
-            at_s=float(record["at_s"]),
-            duration_s=float(record["duration_s"]),
-        )
-    if name == "degraded_link":
-        return DegradedLink(
-            scope=str(record["scope"]), index=int(record["index"]),
-            at_s=float(record["at_s"]),
-            duration_s=float(record["duration_s"]),
-            bandwidth_factor=float(record["bandwidth_factor"]),
-            comm_fraction=float(record["comm_fraction"]),
-        )
-    raise ValueError(f"unknown event record {name!r}")
+    spec = _EVENTS.get(record["event"])
+    if spec is None:
+        raise ValueError(f"unknown event {record['event']!r}")
+    cls, fields = spec
+    return cls(**{
+        field: decode(record[field]) for field, decode in fields.items()
+    })
 
 
 def dumps_campaign(campaign: ChaosCampaign) -> str:
@@ -289,58 +256,78 @@ def dumps_campaign(campaign: ChaosCampaign) -> str:
 
     Line 1 is the header (schema id, version, seed, duration, server
     count); line 2 the topology columns; then one ``event`` record per
-    event in campaign order.  Every line is canonical JSON, so equal
-    campaigns serialize to identical bytes and save -> load -> save is
-    the identity (pinned by tests and the CI schema gate).
+    event in campaign order.  Every line is canonical JSON
+    (:mod:`repro.jsonl`), so equal campaigns serialize to identical
+    bytes and save -> load -> save is the identity (pinned by tests
+    and the CI schema gate).
     """
-    lines = [_canonical({
-        "kind": "header",
-        "schema": CAMPAIGN_SCHEMA,
-        "version": CAMPAIGN_VERSION,
+    topology = campaign.topology
+    header = {
         "seed": int(campaign.seed),
         "duration_s": float(campaign.duration_s),
-        "servers": campaign.topology.servers,
-    })]
-    lines.append(_canonical({
+        "servers": topology.servers,
+    }
+    columns = {
         "kind": "topology",
-        "host_of": list(campaign.topology.host_of),
-        "rack_of": list(campaign.topology.rack_of),
-        "zone_of": list(campaign.topology.zone_of),
-    }))
-    for event in campaign.events:
-        lines.append(_canonical(_event_record(event)))
-    return "\n".join(lines) + "\n"
+        "host_of": list(topology.host_of),
+        "rack_of": list(topology.rack_of),
+        "zone_of": list(topology.zone_of),
+    }
+    return jsonl.dumps(
+        CAMPAIGN_SCHEMA, CAMPAIGN_VERSION, header,
+        itertools.chain([columns], map(_event_record, campaign.events)),
+    )
 
 
 def loads_campaign(text: str) -> ChaosCampaign:
-    """Parse campaign JSONL produced by :func:`dumps_campaign`."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if len(lines) < 2:
-        raise ValueError("campaign file needs header and topology")
-    header = json.loads(lines[0])
-    if header.get("schema") != CAMPAIGN_SCHEMA:
-        raise ValueError(
-            f"not a campaign file (schema {header.get('schema')!r})"
+    """Parse campaign JSONL produced by :func:`dumps_campaign`.
+
+    Malformed input raises a ``ValueError`` naming the line (see
+    :func:`repro.jsonl.loads`).
+    """
+    head: dict = {}
+    events: list[CampaignEvent] = []
+
+    def header(record: dict) -> None:
+        duration = float(record["duration_s"])
+        if not duration > 0.0:
+            raise ValueError(f"duration_s {duration!r} is not positive")
+        head.update(
+            duration_s=duration, seed=int(record["seed"]),
+            servers=record["servers"],
         )
-    if header.get("version") != CAMPAIGN_VERSION:
-        raise ValueError(
-            f"unsupported campaign version {header.get('version')!r}"
+
+    def topology(record: dict) -> None:
+        if "topology" in head:
+            raise ValueError("second topology record")
+        columns = DomainTopology(
+            host_of=tuple(int(v) for v in record["host_of"]),
+            rack_of=tuple(int(v) for v in record["rack_of"]),
+            zone_of=tuple(int(v) for v in record["zone_of"]),
         )
-    topo_record = json.loads(lines[1])
-    if topo_record.get("kind") != "topology":
-        raise ValueError("line 2 must be the topology record")
-    topology = DomainTopology(
-        host_of=tuple(int(v) for v in topo_record["host_of"]),
-        rack_of=tuple(int(v) for v in topo_record["rack_of"]),
-        zone_of=tuple(int(v) for v in topo_record["zone_of"]),
-    )
-    events = tuple(
-        _event_from_record(json.loads(line)) for line in lines[2:]
-    )
+        if columns.servers != head["servers"]:
+            raise ValueError(
+                f"topology describes {columns.servers} servers, "
+                f"header promised {head['servers']!r}"
+            )
+        head["topology"] = columns
+
+    def event(record: dict) -> None:
+        if "topology" not in head:
+            raise ValueError("event before the topology record")
+        parsed = _event_from_record(record)
+        if events and parsed.at_s < events[-1].at_s:
+            raise ValueError("events must be time-ordered")
+        events.append(parsed)
+
+    jsonl.loads(text, CAMPAIGN_SCHEMA, CAMPAIGN_VERSION, {
+        "header": header, "topology": topology, "event": event,
+    })
+    if "topology" not in head:
+        raise ValueError("line 2: campaign needs a topology record")
     return ChaosCampaign(
-        topology=topology, events=events,
-        duration_s=float(header["duration_s"]),
-        seed=int(header["seed"]),
+        topology=head["topology"], events=tuple(events),
+        duration_s=head["duration_s"], seed=head["seed"],
     )
 
 

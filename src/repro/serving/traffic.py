@@ -87,14 +87,15 @@ per second.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro import jsonl
 from repro.serving.workload import Request, RequestBatch, WorkloadMix
 
 TRACE_SCHEMA = "repro-traffic-trace"
@@ -737,160 +738,159 @@ class TrafficTrace:
         return int(self.client_tiers[self.client_of(request_id)])
 
 
-def _canonical(obj: object) -> str:
-    """Canonical one-line JSON (sorted keys, no whitespace)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def dumps_trace(trace: TrafficTrace) -> str:
     """Serialize a trace to the versioned JSONL schema (v1).
 
     Line 1 is the header record (schema id, version, model and combo
     tables, client count, duration, meta); then one ``client`` record
     per client in id order; then one ``request`` record per request in
-    arrival order.  Every line is canonical JSON (sorted keys, compact
-    separators), so equal traces serialize to identical bytes and
-    save -> load -> save is the identity (pinned by tests).
+    arrival order.  Every line is canonical JSON (:mod:`repro.jsonl`),
+    so equal traces serialize to identical bytes and save -> load ->
+    save is the identity (pinned by tests).
     """
-    lines = [_canonical({
-        "kind": "header",
-        "schema": TRACE_SCHEMA,
-        "version": TRACE_VERSION,
+    header = {
         "duration_s": float(trace.duration_s),
         "models": list(trace.models),
         "combos": [
-            [
-                {
-                    "props": dict(combo.props),
-                    "scale": combo.scale,
-                    "weight": combo.weight,
-                }
-                for combo in table
-            ]
+            [{"props": dict(combo.props), "scale": combo.scale,
+              "weight": combo.weight} for combo in table]
             for table in trace.combos
         ],
         "num_clients": trace.n_clients,
         "meta": trace.meta,
-    })]
-    rates = trace.client_rates.tolist()
-    tiers = trace.client_tiers.tolist()
-    for client in range(trace.n_clients):
-        lines.append(_canonical({
-            "kind": "client",
-            "id": client,
-            "rate": rates[client],
-            "tier": TIER_NAMES[tiers[client]],
-        }))
-    arrivals = trace.batch.arrival_s.tolist()
-    services = trace.batch.service_s.tolist()
-    model_ids = trace.batch.model_ids.tolist()
-    clients = trace.client_ids.tolist()
-    combo_ids = trace.combo_ids.tolist()
-    for i in range(len(trace.batch)):
-        lines.append(_canonical({
-            "kind": "request",
-            "id": i,
-            "client": clients[i],
-            "model": trace.models[model_ids[i]],
-            "combo": combo_ids[i],
-            "arrival_s": arrivals[i],
-            "service_s": services[i],
-        }))
-    return "\n".join(lines) + "\n"
+    }
+    clients = (
+        {"kind": "client", "id": client, "rate": rate,
+         "tier": TIER_NAMES[tier]}
+        for client, (rate, tier) in enumerate(zip(
+            trace.client_rates.tolist(), trace.client_tiers.tolist()
+        ))
+    )
+    requests = (
+        {"kind": "request", "id": i, "client": client,
+         "model": trace.models[model_id], "combo": combo,
+         "arrival_s": arrival, "service_s": service}
+        for i, (client, model_id, combo, arrival, service) in enumerate(zip(
+            trace.client_ids.tolist(), trace.batch.model_ids.tolist(),
+            trace.combo_ids.tolist(), trace.batch.arrival_s.tolist(),
+            trace.batch.service_s.tolist(),
+        ))
+    )
+    return jsonl.dumps(
+        TRACE_SCHEMA, TRACE_VERSION, header,
+        itertools.chain(clients, requests),
+    )
 
 
 def loads_trace(text: str) -> TrafficTrace:
-    """Parse a JSONL trace (inverse of :func:`dumps_trace`)."""
-    lines = [line for line in text.split("\n") if line]
-    if not lines:
-        raise ValueError("empty trace file")
-    header = json.loads(lines[0])
-    if header.get("kind") != "header":
-        raise ValueError("first trace record must be the header")
-    if header.get("schema") != TRACE_SCHEMA:
-        raise ValueError(f"unknown trace schema {header.get('schema')!r}")
-    if header.get("version") != TRACE_VERSION:
-        raise ValueError(
-            f"unsupported trace version {header.get('version')!r} "
-            f"(expected {TRACE_VERSION})"
-        )
-    models = tuple(header["models"])
-    model_index = {name: i for i, name in enumerate(models)}
-    combos = tuple(
-        tuple(
-            TraceCombo(
-                props=tuple(sorted(
-                    (name, float(value))
-                    for name, value in entry["props"].items()
-                )),
-                scale=float(entry["scale"]),
-                weight=float(entry["weight"]),
-            )
-            for entry in table
-        )
-        for table in header["combos"]
-    )
-    num_clients = int(header["num_clients"])
-    rates = np.zeros(num_clients, dtype=np.float64)
-    tiers = np.zeros(num_clients, dtype=np.int64)
-    seen_clients = 0
+    """Parse a JSONL trace (inverse of :func:`dumps_trace`).
+
+    Malformed input raises a ``ValueError`` naming the line (see
+    :func:`repro.jsonl.loads`).
+    """
+    head: dict = {}
+    rates: list[float] = []
+    tiers: list[int] = []
     arrivals: list[float] = []
     services: list[float] = []
     model_ids: list[int] = []
     client_ids: list[int] = []
     combo_ids: list[int] = []
-    for line in lines[1:]:
-        record = json.loads(line)
-        kind = record.get("kind")
-        if kind == "client":
-            client = int(record["id"])
-            rates[client] = float(record["rate"])
-            tiers[client] = TIER_NAMES.index(record["tier"])
-            seen_clients += 1
-        elif kind == "request":
-            arrivals.append(float(record["arrival_s"]))
-            services.append(float(record["service_s"]))
-            model_ids.append(model_index[record["model"]])
-            client_ids.append(int(record["client"]))
-            combo_ids.append(int(record["combo"]))
-        else:
-            raise ValueError(f"unknown trace record kind {kind!r}")
-    if seen_clients != num_clients:
-        raise ValueError(
-            f"header promised {num_clients} clients, file has "
-            f"{seen_clients}"
+
+    def header(record: dict) -> None:
+        models = tuple(record["models"])
+        combos = tuple(
+            tuple(
+                TraceCombo(
+                    props=tuple(sorted(
+                        (name, float(value))
+                        for name, value in entry["props"].items()
+                    )),
+                    scale=float(entry["scale"]),
+                    weight=float(entry["weight"]),
+                )
+                for entry in table
+            )
+            for table in record["combos"]
         )
-    n = len(arrivals)
+        if not models or len(combos) != len(models):
+            raise ValueError("combos must hold one table per model")
+        duration = float(record["duration_s"])
+        if not duration > 0.0:
+            raise ValueError(f"duration_s {duration!r} is not positive")
+        head.update(
+            models=models, combos=combos, duration=duration,
+            index={name: i for i, name in enumerate(models)},
+            num_clients=int(record["num_clients"]),
+            meta=dict(record["meta"]),
+        )
+
+    def client(record: dict) -> None:
+        if record["id"] != len(rates):
+            raise ValueError(f"client id {record['id']!r} out of order")
+        rates.append(float(record["rate"]))
+        tiers.append(TIER_NAMES.index(record["tier"]))
+
+    def request(record: dict) -> None:
+        if record["id"] != len(arrivals):
+            raise ValueError(f"request id {record['id']!r} out of order")
+        arrival = float(record["arrival_s"])
+        if not arrival >= (arrivals[-1] if arrivals else 0.0):
+            raise ValueError(f"arrival_s {arrival!r} out of order")
+        service = float(record["service_s"])
+        if not service > 0.0:
+            raise ValueError(f"service_s {service!r} is not positive")
+        model = head["index"].get(record["model"])
+        if model is None:
+            raise ValueError(f"model {record['model']!r} not in header")
+        client, combo = int(record["client"]), int(record["combo"])
+        if not 0 <= client < head["num_clients"]:
+            raise ValueError(f"client {client} not in the client base")
+        if not 0 <= combo < len(head["combos"][model]):
+            raise ValueError(f"combo {combo} not in the model's table")
+        arrivals.append(arrival)
+        services.append(service)
+        model_ids.append(model)
+        client_ids.append(client)
+        combo_ids.append(combo)
+
+    jsonl.loads(text, TRACE_SCHEMA, TRACE_VERSION, {
+        "header": header, "client": client, "request": request,
+    })
+    if len(rates) != head["num_clients"]:
+        raise ValueError(
+            f"line 1: header promised {head['num_clients']} clients, "
+            f"file has {len(rates)}"
+        )
+    models = head["models"]
     batch = RequestBatch(
         models=models,
         arrival_s=np.array(arrivals, dtype=np.float64),
         service_s=np.array(services, dtype=np.float64),
         model_ids=np.array(model_ids, dtype=np.int64),
-        request_ids=np.arange(n, dtype=np.int64),
+        request_ids=np.arange(len(arrivals), dtype=np.int64),
     )
     return TrafficTrace(
         models=models,
-        combos=combos,
+        combos=head["combos"],
         batch=batch,
         client_ids=np.array(client_ids, dtype=np.int64),
         combo_ids=np.array(combo_ids, dtype=np.int64),
-        client_rates=rates,
-        client_tiers=tiers,
-        duration_s=float(header["duration_s"]),
-        meta=dict(header["meta"]),
+        client_rates=np.array(rates, dtype=np.float64),
+        client_tiers=np.array(tiers, dtype=np.int64),
+        duration_s=head["duration"],
+        meta=head["meta"],
     )
 
 
 def save_trace(trace: TrafficTrace, path: str) -> None:
     """Write a trace to ``path`` in the JSONL schema."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_trace(trace))
+    Path(path).write_text(dumps_trace(trace), encoding="utf-8")
 
 
 def load_trace(path: str) -> TrafficTrace:
     """Read a trace written by :func:`save_trace`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads_trace(handle.read())
+    return loads_trace(Path(path).read_text(encoding="utf-8"))
 
 
 # --------------------------------------------------------------------

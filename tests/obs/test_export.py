@@ -82,3 +82,11 @@ class TestHeader:
         )
         with pytest.raises(ValueError, match="unknown record kind"):
             loads_telemetry(text)
+
+    def test_non_object_span_event_attrs_rejected(self, small_log):
+        lines = dumps_telemetry(small_log).splitlines()
+        span = json.loads(lines[1])
+        span["events"][0][2] = None
+        lines[1] = json.dumps(span, sort_keys=True, separators=(",", ":"))
+        with pytest.raises(ValueError, match="^line 2: attrs None is not an object"):
+            loads_telemetry("\n".join(lines))

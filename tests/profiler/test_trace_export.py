@@ -78,6 +78,16 @@ class TestExport:
             OpCategory.ELEMENTWISE.value
         ]
 
+    def test_process_is_named_by_a_process_name_record(self, trace):
+        metadata = [
+            event for event in to_chrome_trace(trace)["traceEvents"]
+            if event.get("ph") == "M" and "tid" not in event
+        ]
+        assert metadata == [{
+            "name": "process_name", "ph": "M", "pid": 0,
+            "args": {"name": "gpu"},
+        }]
+
     def test_lane_metadata_only_for_present_categories(self, trace):
         payload = to_chrome_trace(trace)
         names = {

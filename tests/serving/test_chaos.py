@@ -152,7 +152,7 @@ class TestSerialization:
         assert load_campaign(path) == campaign
 
     def test_rejects_foreign_schema(self):
-        with pytest.raises(ValueError, match="not a campaign"):
+        with pytest.raises(ValueError, match="schema"):
             loads_campaign(
                 '{"kind":"header","schema":"other","version":1}\n'
                 '{"kind":"topology","host_of":[0],"rack_of":[0],'

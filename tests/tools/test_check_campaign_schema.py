@@ -195,6 +195,11 @@ class TestRejectsEvents:
         errors = checker.check_campaign(campaign_path)
         assert any("zone 9" in e for e in errors)
 
+    def test_outage_without_stagger_fails(self, campaign_path):
+        rewrite(campaign_path, 2, lambda r: r.pop("stagger_s"))
+        errors = checker.check_campaign(campaign_path)
+        assert any("stagger_s" in e for e in errors)
+
     def test_stagger_exceeds_duration(self, campaign_path):
         rewrite(campaign_path, 2, lambda r: r.update(stagger_s=60.0))
         errors = checker.check_campaign(campaign_path)

@@ -143,6 +143,11 @@ class TestHeader:
         assert any("server_pools" in e for e in
                    checker.check_telemetry(bad))
 
+    @pytest.mark.parametrize("pools", [-1, 1.5, True], ids=repr)
+    def test_non_list_pools_is_an_error_not_a_crash(self, saved_log, pools):
+        bad = rewrite(saved_log, 0, lambda r: r.update(pools=pools))
+        assert any("pools" in e for e in checker.check_telemetry(bad))
+
     def test_duplicate_pool_names_fail(self, saved_log):
         bad = rewrite(saved_log, 0,
                       lambda r: r.update(pools=["a100", "a100"]))

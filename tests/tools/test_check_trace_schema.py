@@ -99,10 +99,24 @@ class TestHeader:
         assert any("schema" in e for e in
                    checker.check_trace(bad, known_models=None))
 
-    def test_wrong_version_fails(self, trace_path):
-        bad = rewrite(trace_path, 0, lambda r: r.update(version=2))
+    @pytest.mark.parametrize("version", [2, True])
+    def test_wrong_version_fails(self, trace_path, version):
+        bad = rewrite(trace_path, 0, lambda r: r.update(version=version))
         assert any("version" in e for e in
                    checker.check_trace(bad, known_models=None))
+
+    @pytest.mark.parametrize("field,value", [
+        (field, value)
+        for field in ("duration_s", "num_clients", "models", "combos")
+        for value in (None, "x", -1, 1.5, True, [], {})
+        if (field, value) != ("duration_s", 1.5)
+    ], ids=repr)
+    def test_malformed_header_field_is_an_error_not_a_crash(
+        self, trace_path, field, value
+    ):
+        bad = rewrite(trace_path, 0, lambda r: r.update({field: value}))
+        errors = checker.check_trace(bad, known_models=None)
+        assert any(e.startswith("line 1:") for e in errors)
 
     def test_unknown_model_fails_registry_check(self, trace_path):
         errors = checker.check_trace(
@@ -184,6 +198,13 @@ class TestRecords:
         bad = rewrite(trace_path, index,
                       lambda r: r.update(combo=42))
         assert any("combo" in e for e in
+                   checker.check_trace(bad, known_models=None))
+
+    @pytest.mark.parametrize("field", ["client", "combo"])
+    def test_bool_client_or_combo_fails(self, trace_path, field):
+        index = self.first_request_line(trace_path)
+        bad = rewrite(trace_path, index, lambda r: r.update({field: True}))
+        assert any(field in e for e in
                    checker.check_trace(bad, known_models=None))
 
     def test_gapped_request_ids_fail(self, trace_path):

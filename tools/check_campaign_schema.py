@@ -13,23 +13,21 @@ honors the contract *without* loading it through
 ``repro.serving.chaos`` — an independent line-by-line validation, so a
 serializer bug cannot self-certify.
 
-Checks, in order per file:
+Checks, in order per file, after the shared framing of
+``jsonl_gate.py`` (canonical lines, header schema id and version):
 
-* line 1 is a ``header`` record with the known schema id and version,
-  a non-negative integer seed, a positive finite ``duration_s``, and a
-  positive ``servers`` count;
+* the header has a non-negative integer seed, a positive finite
+  ``duration_s``, and a positive ``servers`` count;
 * line 2 is a ``topology`` record whose ``host_of``/``rack_of``/
   ``zone_of`` columns are equal-length non-negative integer lists of
   exactly ``servers`` entries, with consistent nesting (one rack per
   host, one zone per rack);
-* every line is *canonical* JSON (sorted keys, compact separators) —
-  the property that makes equal campaigns byte-identical;
 * every further line is an ``event`` record of a known event name with
   its kind-specific required fields: finite ``at_s`` >= 0, finite
-  ``duration_s`` > 0, staggers in ``[0, duration_s)``, scopes drawn
-  from ``{rack, zone}``, targeted domain indexes that exist in the
-  topology, ``bandwidth_factor`` in (0, 1) and ``comm_fraction`` in
-  [0, 1] for degraded links.
+  ``duration_s`` > 0, outage ``stagger_s`` in ``[0, duration_s)``,
+  scopes drawn from ``{rack, zone}``, targeted domain indexes that
+  exist in the topology, ``bandwidth_factor`` in (0, 1) and
+  ``comm_fraction`` in [0, 1] for degraded links.
 
 Exit status: 0 when every file passes, 1 on any violation.
 """
@@ -37,10 +35,15 @@ Exit status: 0 when every file passes, 1 on any violation.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+try:
+    from jsonl_gate import canonical, finite, is_int, read_records, report
+finally:
+    sys.path.pop(0)
 
 EXPECTED_SCHEMA = "repro-chaos-campaign"
 EXPECTED_VERSION = 1
@@ -48,35 +51,10 @@ SCOPES = ("rack", "zone")
 EVENT_NAMES = ("zone_outage", "rack_outage", "partition", "degraded_link")
 
 
-def canonical(obj: object) -> str:
-    """Canonical one-line JSON (matches the serializer's contract)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _finite(value: object) -> bool:
-    return _is_number(value) and math.isfinite(value)
-
-
 def check_header(record: dict, errors: list[str]) -> dict:
-    """Validate the header record; returns it (possibly partial)."""
-    if record.get("kind") != "header":
-        errors.append("line 1: first record must have kind 'header'")
-    if record.get("schema") != EXPECTED_SCHEMA:
-        errors.append(
-            f"line 1: schema {record.get('schema')!r} != "
-            f"{EXPECTED_SCHEMA!r}"
-        )
-    if record.get("version") != EXPECTED_VERSION:
-        errors.append(
-            f"line 1: version {record.get('version')!r} != "
-            f"{EXPECTED_VERSION}"
-        )
+    """Validate the header fields; returns the record."""
     seed = record.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not is_int(seed) or seed < 0:
         errors.append(
             f"line 1: seed must be a non-negative int, got {seed!r}"
         )
@@ -89,9 +67,7 @@ def check_header(record: dict, errors: list[str]) -> dict:
             f"got {duration!r}"
         )
     servers = record.get("servers")
-    if not isinstance(servers, int) or isinstance(servers, bool) or (
-        servers <= 0
-    ):
+    if not is_int(servers) or servers <= 0:
         errors.append(
             f"line 1: servers must be a positive int, got {servers!r}"
         )
@@ -107,8 +83,7 @@ def check_topology(record: dict, servers: int,
     for name in ("host_of", "rack_of", "zone_of"):
         column = record.get(name)
         if not isinstance(column, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 0
-            for v in column
+            is_int(v) and v >= 0 for v in column
         ):
             errors.append(
                 f"line 2: {name} must be a non-negative int list"
@@ -153,25 +128,25 @@ def check_event(record: dict, number: int, duration: float,
         errors.append(f"line {number}: unknown event {name!r}")
         return
     at = record.get("at_s")
-    if not _finite(at) or at < 0.0:
+    if not finite(at) or at < 0.0:
         errors.append(
             f"line {number}: at_s must be finite and >= 0, got {at!r}"
         )
     span = record.get("duration_s")
-    if not _finite(span) or span <= 0.0:
+    if not finite(span) or span <= 0.0:
         errors.append(
             f"line {number}: duration_s must be finite and > 0, "
             f"got {span!r}"
         )
         span = math.inf
-    if _finite(at) and math.isfinite(span) and at > duration:
+    if finite(at) and math.isfinite(span) and at > duration:
         errors.append(
             f"line {number}: event starts at {at!r}, after the "
             f"campaign duration {duration!r}"
         )
     if name in ("zone_outage", "rack_outage"):
-        stagger = record.get("stagger_s", 0.0)
-        if not _finite(stagger) or not 0.0 <= stagger < span:
+        stagger = record.get("stagger_s")
+        if not finite(stagger) or not 0.0 <= stagger < span:
             errors.append(
                 f"line {number}: stagger_s must lie in "
                 f"[0, duration_s), got {stagger!r}"
@@ -179,9 +154,7 @@ def check_event(record: dict, number: int, duration: float,
         field = "zone" if name == "zone_outage" else "rack"
         domains = zones if name == "zone_outage" else racks
         index = record.get(field)
-        if not isinstance(index, int) or isinstance(index, bool) or (
-            index not in domains
-        ):
+        if not is_int(index) or index not in domains:
             errors.append(
                 f"line {number}: {field} {index!r} not in the "
                 "topology"
@@ -194,22 +167,20 @@ def check_event(record: dict, number: int, duration: float,
             )
         index = record.get("index")
         domains = zones if scope == "zone" else racks
-        if not isinstance(index, int) or isinstance(index, bool) or (
-            index not in domains
-        ):
+        if not is_int(index) or index not in domains:
             errors.append(
                 f"line {number}: {scope or 'domain'} {index!r} not "
                 "in the topology"
             )
     if name == "degraded_link":
         factor = record.get("bandwidth_factor")
-        if not _finite(factor) or not 0.0 < factor < 1.0:
+        if not finite(factor) or not 0.0 < factor < 1.0:
             errors.append(
                 f"line {number}: bandwidth_factor must lie in "
                 f"(0, 1), got {factor!r}"
             )
         fraction = record.get("comm_fraction")
-        if not _finite(fraction) or not 0.0 <= fraction <= 1.0:
+        if not finite(fraction) or not 0.0 <= fraction <= 1.0:
             errors.append(
                 f"line {number}: comm_fraction must lie in [0, 1], "
                 f"got {fraction!r}"
@@ -219,34 +190,12 @@ def check_event(record: dict, number: int, duration: float,
 def check_campaign(path: Path, *, max_errors: int = 20) -> list[str]:
     """Validate one campaign file; returns error strings (empty = pass)."""
     errors: list[str] = []
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as error:
-        return [str(error)]
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    else:
-        errors.append("file must end with a trailing newline")
-    if len(lines) < 2:
-        return errors + [
-            "campaign file needs a header and a topology record"
-        ]
-
-    records: list[dict] = []
-    for number, line in enumerate(lines, start=1):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            errors.append(f"line {number}: invalid JSON ({error.msg})")
-            continue
-        if line != canonical(record):
+    records = read_records(path, EXPECTED_SCHEMA, EXPECTED_VERSION, errors)
+    if len(records) < 2:
+        if records:
             errors.append(
-                f"line {number}: not canonical JSON "
-                "(keys sorted, separators (',', ':'))"
+                "campaign file needs a header and a topology record"
             )
-        records.append(record)
-    if len(records) < 2 or errors:
         return errors[:max_errors]
 
     header = check_header(records[0], errors)
@@ -254,7 +203,7 @@ def check_campaign(path: Path, *, max_errors: int = 20) -> list[str]:
         records[1], header.get("servers", -1), errors
     )
     duration = header.get("duration_s")
-    duration = duration if _finite(duration) else math.inf
+    duration = duration if finite(duration) else math.inf
     racks = frozenset(columns.get("rack_of") or ())
     zones = frozenset(columns.get("zone_of") or ())
     for number, record in enumerate(records[2:], start=3):
@@ -278,23 +227,12 @@ def main(argv: list[str] | None = None) -> int:
         help="campaign files in the JSONL schema",
     )
     args = parser.parse_args(argv)
-    failures = 0
-    for path in args.campaigns:
-        errors = check_campaign(path)
-        if errors:
-            failures += 1
-            print(f"FAIL  {path}", file=sys.stderr)
-            for line in errors:
-                print(f"  {line}", file=sys.stderr)
-        else:
-            with path.open(encoding="utf-8") as handle:
-                header = json.loads(handle.readline())
-                events = sum(1 for line in handle if line.strip()) - 1
-            print(
-                f"ok    {path}: {header['servers']} servers, "
-                f"{events} events, schema v{header['version']}"
-            )
-    return 1 if failures else 0
+    return report(
+        args.campaigns, check_campaign,
+        lambda records: (
+            f"{records[0]['servers']} servers, {len(records) - 2} events"
+        ),
+    )
 
 
 if __name__ == "__main__":

@@ -13,13 +13,11 @@ committed log actually honors the contract *without* loading it
 through ``repro.obs.export`` — an independent line-by-line
 validation, so a serializer bug cannot self-certify.
 
-Checks, in order per file:
+Checks, in order per file, after the shared framing of
+``jsonl_gate.py`` (canonical lines, header schema id and version):
 
-* line 1 is a ``header`` record with the known schema id and version,
-  a positive sampling interval, a finite makespan, unique pool names
-  and an in-range server-to-pool map;
-* every line is *canonical* JSON (sorted keys, compact separators) —
-  the property that makes equal logs byte-identical;
+* the header has a positive sampling interval, a finite makespan,
+  unique pool names and an in-range server-to-pool map;
 * records appear in kind order (spans, events, series, histograms)
   and their counts match what the header promised;
 * spans are sorted by request id and well-formed: first event is
@@ -38,10 +36,15 @@ Exit status: 0 when every file passes, 1 on any violation.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+try:
+    from jsonl_gate import canonical, finite, is_int, read_records, report
+finally:
+    sys.path.pop(0)
 
 EXPECTED_SCHEMA = "repro-telemetry"
 EXPECTED_VERSION = 1
@@ -70,39 +73,16 @@ LATENCY_HISTOGRAM = "fleet.latency_s"
 RECORD_ORDER = ("span", "event", "series", "histogram")
 
 
-def canonical(obj: object) -> str:
-    """Canonical one-line JSON (matches the serializer's contract)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _is_num(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(
-        value, bool
-    ) and math.isfinite(value)
-
-
 def check_header(record: dict, errors: list[str]) -> dict:
-    """Validate the header record; returns it (possibly partial)."""
-    if record.get("kind") != "header":
-        errors.append("line 1: first record must have kind 'header'")
-    if record.get("schema") != EXPECTED_SCHEMA:
-        errors.append(
-            f"line 1: schema {record.get('schema')!r} != "
-            f"{EXPECTED_SCHEMA!r}"
-        )
-    if record.get("version") != EXPECTED_VERSION:
-        errors.append(
-            f"line 1: version {record.get('version')!r} != "
-            f"{EXPECTED_VERSION}"
-        )
+    """Validate the header fields; returns the record."""
     interval = record.get("sample_interval_s")
-    if not _is_num(interval) or not interval > 0.0:
+    if not finite(interval) or not interval > 0.0:
         errors.append(
             f"line 1: sample_interval_s must be a positive number, "
             f"got {interval!r}"
         )
     makespan = record.get("makespan_s")
-    if not _is_num(makespan) or makespan < 0.0:
+    if not finite(makespan) or makespan < 0.0:
         errors.append(
             f"line 1: makespan_s must be a finite number >= 0, got "
             f"{makespan!r}"
@@ -119,8 +99,7 @@ def check_header(record: dict, errors: list[str]) -> dict:
     server_pools = record.get("server_pools")
     num_pools = len(pools) if isinstance(pools, list) else 0
     if not isinstance(server_pools, list) or not all(
-        isinstance(p, int) and not isinstance(p, bool)
-        and 0 <= p < num_pools
+        is_int(p) and 0 <= p < num_pools
         for p in server_pools
     ):
         errors.append(
@@ -129,9 +108,7 @@ def check_header(record: dict, errors: list[str]) -> dict:
     for field in ("num_spans", "num_events", "num_series",
                   "num_histograms"):
         count = record.get(field)
-        if not isinstance(count, int) or isinstance(count, bool) or (
-            count < 0
-        ):
+        if not is_int(count) or count < 0:
             errors.append(
                 f"line 1: {field} must be a non-negative int, got "
                 f"{count!r}"
@@ -145,7 +122,7 @@ def _check_span(number: int, record: dict, errors: list[str],
                 last_request: int) -> int:
     """Validate one span record; returns its request id."""
     request = record.get("request")
-    if not isinstance(request, int) or isinstance(request, bool):
+    if not is_int(request):
         errors.append(f"line {number}: bad request id {request!r}")
         request = last_request
     elif request <= last_request:
@@ -167,7 +144,7 @@ def _check_span(number: int, record: dict, errors: list[str],
     for index, event in enumerate(events):
         if (
             not isinstance(event, list) or len(event) != 3
-            or not _is_num(event[0])
+            or not finite(event[0])
             or not isinstance(event[1], str)
             or not isinstance(event[2], dict)
         ):
@@ -236,7 +213,7 @@ def _check_series(number: int, record: dict, errors: list[str],
     makespan = header.get("makespan_s")
     last_t = -math.inf
     for ts in times:
-        if not _is_num(ts) or ts < 0.0:
+        if not finite(ts) or ts < 0.0:
             errors.append(f"line {number}: bad sample time {ts!r}")
             continue
         if ts <= last_t:
@@ -245,8 +222,8 @@ def _check_series(number: int, record: dict, errors: list[str],
                 f"({ts!r} after {last_t!r})"
             )
         last_t = ts
-    if _is_num(makespan):
-        if any(_is_num(ts) and ts > makespan for ts in times):
+    if finite(makespan):
+        if any(finite(ts) and ts > makespan for ts in times):
             errors.append(
                 f"line {number}: sample past the makespan "
                 f"({makespan!r})"
@@ -256,7 +233,7 @@ def _check_series(number: int, record: dict, errors: list[str],
                 f"line {number}: final sample at {times[-1]!r}, "
                 f"expected the makespan {makespan!r}"
             )
-    bad = [v for v in values if not _is_num(v)]
+    bad = [v for v in values if not finite(v)]
     if bad:
         errors.append(
             f"line {number}: non-finite series value {bad[0]!r}"
@@ -282,7 +259,7 @@ def _check_histogram(number: int, record: dict,
         )
     edges = record.get("edges")
     if not isinstance(edges, list) or not edges or not all(
-        _is_num(e) for e in edges
+        finite(e) for e in edges
     ) or any(b <= a for a, b in zip(edges, edges[1:])):
         errors.append(
             f"line {number}: edges must be a non-empty ascending "
@@ -305,10 +282,7 @@ def _check_histogram(number: int, record: dict,
                 f"line {number}: count row {index} must have "
                 f"{width} buckets (len(edges) + 1)"
             )
-        elif not all(
-            isinstance(c, int) and not isinstance(c, bool) and c >= 0
-            for c in row
-        ):
+        elif not all(is_int(c) and c >= 0 for c in row):
             errors.append(
                 f"line {number}: count row {index} holds a negative "
                 "or non-int bucket"
@@ -318,36 +292,13 @@ def _check_histogram(number: int, record: dict,
 def check_telemetry(path: Path, *, max_errors: int = 20) -> list[str]:
     """Validate one telemetry file; returns errors (empty = pass)."""
     errors: list[str] = []
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as error:
-        return [str(error)]
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    else:
-        errors.append("file must end with a trailing newline")
-    if not lines:
-        return errors + ["empty telemetry file (no header record)"]
-
-    records: list[dict] = []
-    for number, line in enumerate(lines, start=1):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            errors.append(f"line {number}: invalid JSON ({error.msg})")
-            continue
-        if line != canonical(record):
-            errors.append(
-                f"line {number}: not canonical JSON "
-                "(keys sorted, separators (',', ':'))"
-            )
-        records.append(record)
-    if not records or errors:
+    records = read_records(path, EXPECTED_SCHEMA, EXPECTED_VERSION, errors)
+    if not records:
         return errors[:max_errors]
 
     header = check_header(records[0], errors)
-    pools = header.get("pools") or []
+    pools = header.get("pools")
+    pools = pools if isinstance(pools, list) else []
     known_series = {f"fleet.{name}" for name in FLEET_COUNTERS}
     for pool in pools:
         known_series |= {f"pool.{pool}.{g}" for g in POOL_GAUGES}
@@ -379,7 +330,7 @@ def check_telemetry(path: Path, *, max_errors: int = 20) -> list[str]:
             )
         elif kind == "event":
             ts = record.get("ts_s")
-            if not _is_num(ts) or ts < 0.0:
+            if not finite(ts) or ts < 0.0:
                 errors.append(
                     f"line {number}: bad event timestamp {ts!r}"
                 )
@@ -430,23 +381,13 @@ def main(argv: list[str] | None = None) -> int:
         help="telemetry files in the JSONL schema",
     )
     args = parser.parse_args(argv)
-    failures = 0
-    for path in args.logs:
-        errors = check_telemetry(path)
-        if errors:
-            failures += 1
-            print(f"FAIL  {path}", file=sys.stderr)
-            for line in errors:
-                print(f"  {line}", file=sys.stderr)
-        else:
-            with path.open(encoding="utf-8") as handle:
-                header = json.loads(handle.readline())
-            print(
-                f"ok    {path}: {header['num_spans']} spans, "
-                f"{header['num_series']} series, "
-                f"schema v{header['version']}"
-            )
-    return 1 if failures else 0
+    return report(
+        args.logs, check_telemetry,
+        lambda records: (
+            f"{records[0]['num_spans']} spans, "
+            f"{records[0]['num_series']} series"
+        ),
+    )
 
 
 if __name__ == "__main__":

@@ -13,11 +13,9 @@ contract *without* loading it through ``repro.serving.traffic`` — an
 independent line-by-line validation, so a serializer bug cannot
 self-certify.
 
-Checks, in order per file:
+Checks, in order per file, after the shared framing of
+``jsonl_gate.py`` (canonical lines, header schema id and version):
 
-* line 1 is a ``header`` record with the known schema id and version;
-* every line is *canonical* JSON (sorted keys, compact separators) —
-  the property that makes equal traces byte-identical;
 * exactly ``num_clients`` client records, ids ``0..n-1`` in order,
   rates finite and >= 0, tiers drawn from the known tier names;
 * request ids ``0..n-1`` in order, arrivals monotone non-decreasing
@@ -33,10 +31,14 @@ Exit status: 0 when every file passes, 1 on any violation.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+try:
+    from jsonl_gate import canonical, finite, is_int, read_records, report
+finally:
+    sys.path.pop(0)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,25 +57,8 @@ def registry_models() -> frozenset[str]:
     return frozenset(suite_names())
 
 
-def canonical(obj: object) -> str:
-    """Canonical one-line JSON (matches the serializer's contract)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def check_header(record: dict, errors: list[str]) -> dict:
-    """Validate the header record; returns it (possibly partial)."""
-    if record.get("kind") != "header":
-        errors.append("line 1: first record must have kind 'header'")
-    if record.get("schema") != EXPECTED_SCHEMA:
-        errors.append(
-            f"line 1: schema {record.get('schema')!r} != "
-            f"{EXPECTED_SCHEMA!r}"
-        )
-    if record.get("version") != EXPECTED_VERSION:
-        errors.append(
-            f"line 1: version {record.get('version')!r} != "
-            f"{EXPECTED_VERSION}"
-        )
+def check_header(record: dict, errors: list[str]) -> None:
+    """Validate the header fields the body checks rely on."""
     duration = record.get("duration_s")
     if not isinstance(duration, float) or not duration > 0.0:
         errors.append(
@@ -90,59 +75,38 @@ def check_header(record: dict, errors: list[str]) -> dict:
     elif len(set(models)) != len(models):
         errors.append("line 1: duplicate model names in header")
     combos = record.get("combos")
-    if not isinstance(combos, list) or (
-        isinstance(models, list) and len(combos) != len(models)
-    ):
+    if not isinstance(combos, list) or not all(
+        isinstance(table, list) for table in combos
+    ) or (isinstance(models, list) and len(combos) != len(models)):
         errors.append(
             "line 1: combos must hold one table per header model"
         )
-    if not isinstance(record.get("num_clients"), int) or (
-        isinstance(record.get("num_clients"), bool)
-        or record.get("num_clients", -1) < 0
-    ):
+    if not is_int(record.get("num_clients")) or record["num_clients"] < 0:
         errors.append("line 1: num_clients must be a non-negative int")
     if not isinstance(record.get("meta"), dict):
         errors.append("line 1: meta must be an object")
-    return record
 
 
 def check_trace(path: Path, *, known_models: frozenset[str] | None,
                 max_errors: int = 20) -> list[str]:
-    """Validate one trace file; returns error strings (empty = pass)."""
+    """Validate one trace file; returns error strings (empty = pass).
+
+    A header that fails its checks ends the check: the body checks
+    read the header's duration, model and combo tables and client
+    count.
+    """
     errors: list[str] = []
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as error:
-        return [str(error)]
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    else:
-        errors.append("file must end with a trailing newline")
-    if not lines:
-        return errors + ["empty trace file (no header record)"]
-
-    records: list[dict] = []
-    for number, line in enumerate(lines, start=1):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            errors.append(f"line {number}: invalid JSON ({error.msg})")
-            continue
-        if line != canonical(record):
-            errors.append(
-                f"line {number}: not canonical JSON "
-                "(keys sorted, separators (',', ':'))"
-            )
-        records.append(record)
-    if not records or errors:
+    records = read_records(path, EXPECTED_SCHEMA, EXPECTED_VERSION, errors)
+    if not records:
         return errors[:max_errors]
-
-    header = check_header(records[0], errors)
-    duration = header.get("duration_s", math.inf)
-    models = header.get("models") or []
-    combos = header.get("combos") or []
-    num_clients = header.get("num_clients", 0)
+    header = records[0]
+    check_header(header, errors)
+    if errors:
+        return errors[:max_errors]
+    duration = header["duration_s"]
+    models = header["models"]
+    combos = header["combos"]
+    num_clients = header["num_clients"]
     if known_models is not None:
         for name in models:
             if name not in known_models:
@@ -165,19 +129,16 @@ def check_trace(path: Path, *, known_models: frozenset[str] | None,
                     f"line {number}: client record after request "
                     "records"
                 )
-            if record.get("id") != clients_seen:
+            if not is_int(record.get("id")) or (
+                record["id"] != clients_seen
+            ):
                 errors.append(
                     f"line {number}: client id {record.get('id')!r}, "
                     f"expected {clients_seen} (ids are dense and "
                     "ordered)"
                 )
             rate = record.get("rate")
-            if (
-                not isinstance(rate, (int, float))
-                or isinstance(rate, bool)
-                or not math.isfinite(rate)
-                or rate < 0.0
-            ):
+            if not finite(rate) or rate < 0.0:
                 errors.append(
                     f"line {number}: client rate must be finite and "
                     f">= 0, got {rate!r}"
@@ -189,17 +150,15 @@ def check_trace(path: Path, *, known_models: frozenset[str] | None,
                 )
             clients_seen += 1
         elif kind == "request":
-            if record.get("id") != requests_seen:
+            if not is_int(record.get("id")) or (
+                record["id"] != requests_seen
+            ):
                 errors.append(
                     f"line {number}: request id {record.get('id')!r}, "
                     f"expected {requests_seen}"
                 )
             arrival = record.get("arrival_s")
-            if (
-                not isinstance(arrival, (int, float))
-                or isinstance(arrival, bool)
-                or not math.isfinite(arrival)
-            ):
+            if not finite(arrival):
                 errors.append(
                     f"line {number}: bad arrival_s {arrival!r}"
                 )
@@ -217,20 +176,13 @@ def check_trace(path: Path, *, known_models: frozenset[str] | None,
                     )
                 last_arrival = max(last_arrival, float(arrival))
             service = record.get("service_s")
-            if (
-                not isinstance(service, (int, float))
-                or isinstance(service, bool)
-                or not math.isfinite(service)
-                or service <= 0.0
-            ):
+            if not finite(service) or service <= 0.0:
                 errors.append(
                     f"line {number}: service_s must be finite and "
                     f"> 0, got {service!r}"
                 )
             client = record.get("client")
-            if not isinstance(client, int) or not (
-                0 <= client < num_clients
-            ):
+            if not is_int(client) or not 0 <= client < num_clients:
                 errors.append(
                     f"line {number}: client {client!r} not in "
                     f"[0, {num_clients})"
@@ -244,9 +196,7 @@ def check_trace(path: Path, *, known_models: frozenset[str] | None,
             else:
                 table = combos[models.index(model)]
                 combo = record.get("combo")
-                if not isinstance(combo, int) or not (
-                    0 <= combo < len(table)
-                ):
+                if not (is_int(combo) and 0 <= combo < len(table)):
                     errors.append(
                         f"line {number}: combo {combo!r} does not "
                         f"index {model!r}'s combo table "
@@ -275,22 +225,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     known = None if args.any_model else registry_models()
-    failures = 0
-    for path in args.traces:
-        errors = check_trace(path, known_models=known)
-        if errors:
-            failures += 1
-            print(f"FAIL  {path}", file=sys.stderr)
-            for line in errors:
-                print(f"  {line}", file=sys.stderr)
-        else:
-            with path.open(encoding="utf-8") as handle:
-                header = json.loads(handle.readline())
-            print(
-                f"ok    {path}: {header['num_clients']} clients, "
-                f"schema v{header['version']}"
-            )
-    return 1 if failures else 0
+    return report(
+        args.traces,
+        lambda path: check_trace(path, known_models=known),
+        lambda records: f"{records[0]['num_clients']} clients",
+    )
 
 
 if __name__ == "__main__":
